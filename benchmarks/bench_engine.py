@@ -229,8 +229,8 @@ def test_engine_concurrent_campaigns_service_vs_pools(benchmark, tmp_path):
             ),
         )
         stats = get_service().stats()
-        assert stats["pool_launches"] <= 1
-        assert stats["failed"] == 0
+        assert stats["pool_launches_total"] <= 1
+        assert stats["failed_total"] == 0
     finally:
         shutdown_service()
         configure_service()

@@ -18,9 +18,10 @@ The end-to-end ``repro.engine`` workflow:
 
 Store layout: artifacts are sharded under two-hex-char prefix
 directories derived from their digest (``traces/ab/…npz``,
-``results/cd/…npz``) with a crash-safe ``index.json`` (atomic rename)
-recording each entry's kind, shard path, byte size and last-access
-time.  ``TraceStore(max_bytes=…, policy="lru")`` bounds disk use:
+``results/cd/…npz``).  There is no index file: each artifact is
+written once by atomic rename, its path names it, and ``stat`` holds
+its byte size, creation time (mtime) and last use (atime, re-stamped
+on every hit).  ``TraceStore(max_bytes=…, policy="lru")`` bounds disk use:
 ``store.gc()`` evicts least-recently-used *result* entries first,
 then traces — results are recomputable from a stored trace in
 milliseconds, a trace costs an interpreter run — and never evicts an
@@ -135,8 +136,7 @@ def main() -> None:
     stats = store.stats()
     print(f"\nstore layout: {stats['trace_entries']} traces + "
           f"{stats['result_entries']} results across "
-          f"{stats['shards']} shards, {stats['total_bytes']} bytes "
-          f"(index.json format v{stats['index_format']})")
+          f"{stats['shards']} shards, {stats['total_bytes']} bytes")
     budget = stats["total_bytes"] // 2
     report = store.gc(max_bytes=budget)
     print(f"gc to {budget} bytes: evicted {report.evicted_results} results "

@@ -103,16 +103,6 @@ DEFAULT_QUEUE_SIZE = 128
 #: replace) — mirrors the store's own in-flight timeout.
 _CLAIM_DEFER_S = 120.0
 
-#: One-release deprecation shim: pre-obs ``stats()`` keys -> canonical.
-_SERVICE_STATS_ALIASES: dict[str, str] = {
-    "submitted": "submitted_total",
-    "completed": "completed_total",
-    "failed": "failed_total",
-    "shared": "shared_total",
-    "pool_launches": "pool_launches_total",
-}
-
-
 class TraceUnavailableError(RuntimeError):
     """A worker could not load a job's trace from its shipped path.
 
@@ -630,7 +620,9 @@ class EvalService:
 
         Returns ``(hit, claimed)``: a cached outcome (and the job is
         never dispatched), or ``(None, True)`` once this process holds
-        the claim lease, or ``(None, False)`` after deferring
+        the claim lease and an uncounted re-check still misses (a peer
+        may have published between the miss and the claim), or
+        ``(None, False)`` after deferring
         :data:`_CLAIM_DEFER_S` to a wedged foreign holder — then the
         job computes unclaimed, a benign duplicate that publishes by
         atomic replace.  Runs in the *submitter's* thread: blocking
@@ -644,6 +636,11 @@ class EvalService:
                 return outcome, False
             gate = store.claim_result(result_key)
             if gate is None:
+                outcome = store.lookup_result(result_key, count=False)
+                if outcome is not None:
+                    store.abandon_result_claim(result_key)
+                    obs.emit("service.store_hit", ref=result_key.ref)
+                    return outcome, False
                 obs.emit("service.claim", ref=result_key.ref)
                 return None, True
             remaining = deadline - time.monotonic()
@@ -724,14 +721,8 @@ class EvalService:
         return registry
 
     def stats(self) -> dict[str, object]:
-        """Canonical snake_case snapshot (counters suffixed ``_total``).
-
-        The pre-obs unsuffixed counter keys still resolve for one
-        release via the deprecation shim.
-        """
-        return obs.LegacySnapshot(
-            self.stats_registry().snapshot(), _SERVICE_STATS_ALIASES
-        )
+        """Canonical snake_case snapshot (counters suffixed ``_total``)."""
+        return self.stats_registry().snapshot()
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:

@@ -51,18 +51,18 @@ Quickstart::
 Store layout (fleet scale)
 --------------------------
 
-The store fans artifacts out across 256 prefix shards and keeps a
-crash-safe index, so campaign traffic never funnels into one flat
-directory and disk use stays bounded::
+The store fans artifacts out across 256 prefix shards, so campaign
+traffic never funnels into one flat directory, and disk use stays
+bounded.  There is no index file: every artifact is written once by
+atomic rename and never changed, so its path and ``stat`` are the
+whole record::
 
-    <root>/index.json        {"index_format": 1, "entries":
-                              {ref: {kind, path, bytes, atime, ctime}}}
-                             written via temp file + atomic rename;
-                             rebuilt from the shards if unreadable
     <root>/traces/<ab>/...   trace .npz, shard = digest[:2]
-    <root>/results/<cd>/...  cached EvalOutcome .npz, same scheme
-    <root>/touch/*.jsonl     write-ahead per-worker access logs,
-                             merged into the index (access times,
+    <root>/results/<cd>/...  cached EvalOutcome .npz, same scheme;
+                             size = st_size, created = mtime,
+                             last used = atime (re-stamped per hit)
+    <root>/touch/*.jsonl     per-worker access logs from pool and
+                             service workers, applied (access times,
                              counters, worker evaluation counts) on
                              campaign completion
     <root>/leases/*.json     cross-process claim leases (holder pid +
@@ -73,10 +73,11 @@ directory and disk use stays bounded::
 
 ``TraceStore(max_bytes=..., policy="lru")`` (or
 ``$REPRO_STORE_MAX_BYTES``) turns on eviction: ``store.gc()`` — also
-run after every put — drops least-recently-used **result entries
-first, then traces**, stops the moment the budget is met, and never
-unlinks an entry a reader has pinned.  A legacy flat-layout store
-migrates losslessly into shards the first time it is opened.
+run after any put that takes the store over budget — drops
+least-recently-used (oldest atime) **result entries first, then
+traces**, stops the moment the budget is met, and never unlinks an
+entry a reader has pinned.  Files outside the shard directories (a
+legacy flat layout, an old ``index.json``) are ignored.
 ``repro store stats`` / ``repro store gc`` expose the same machinery
 on the command line.
 """
@@ -91,7 +92,6 @@ from .campaign import (
 from .executor import CampaignStream, default_workers, run_campaign, run_grid
 from .results import CampaignResult, EvalRecord
 from .store import (
-    INDEX_FORMAT_VERSION,
     LEASE_TTL_S,
     RESULT_FORMAT_VERSION,
     STORE_MAX_BYTES_ENV,
@@ -114,7 +114,6 @@ __all__ = [
     "DEFAULT_CACHES",
     "DEFAULT_PAGE_SIZES",
     "DEFAULT_PES",
-    "INDEX_FORMAT_VERSION",
     "LEASE_TTL_S",
     "RESULT_FORMAT_VERSION",
     "STORE_MAX_BYTES_ENV",

@@ -37,14 +37,15 @@ Three engine features ride on the same job indexing:
   long sweeps; ``stream.result()`` drains it into the same
   canonically-ordered :class:`CampaignResult` a non-streaming run
   produces;
-* **write-ahead store accounting** — every evaluated job logs a touch
-  record for its trace (:func:`repro.engine.store.append_touch`):
-  workers to per-process files the parent merges into the store index
-  on campaign completion (access times for the GC's LRU order,
-  hit/miss counters, worker-side evaluation counts folded into
+* **store accounting** — every evaluated job counts as a use of its
+  trace: serial jobs count and stamp it in the parent
+  (:meth:`TraceStore.touch <repro.engine.store.TraceStore.touch>`),
+  pool workers append a record to a per-process access log
+  (:func:`repro.engine.store.append_touch`) that the parent merges on
+  campaign completion (access times for the GC's LRU order, hit
+  counters, worker-side evaluation counts folded into
   :func:`repro.backends.evaluation_count` via
-  :func:`~repro.backends.base.record_evaluations`), so the index is
-  never written from inside a pool worker.
+  :func:`~repro.backends.base.record_evaluations`).
 """
 
 from __future__ import annotations
@@ -55,7 +56,7 @@ import time
 import uuid
 import warnings
 from itertools import count
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .. import obs
 from ..backends import EvalOutcome, Scenario, evaluate_scenario, get_backend
@@ -82,7 +83,7 @@ __all__ = ["CampaignStream", "default_workers", "run_campaign", "run_grid"]
 #: ``_init_worker``) and are removed when the pool closes.
 _SHARED_TRACES: dict[str, Trace] = {}
 
-#: Worker-side (touch_dir, tag) for write-ahead access logging; set by
+#: Worker-side (touch_dir, tag) for access logging; set by
 #: the pool initializer (it runs in every worker, whatever the start
 #: method), never in the parent.
 _WORKER_TOUCH: tuple[str, str] | None = None
@@ -91,7 +92,7 @@ _WORKER_TOUCH: tuple[str, str] | None = None
 _launch_ids = count()
 
 #: A job is (canonical index, trace label, trace ref, scenario); the
-#: ref is the store-index key of the trace the job evaluates ("" when
+#: ref names the stored trace the job evaluates ("" when
 #: the trace is not store-backed, e.g. ``run_grid`` on a bare trace).
 _Job = tuple[int, str, str, Scenario]
 
@@ -124,9 +125,9 @@ def _eval_job(job: _Job) -> tuple[int, EvalOutcome, float]:
     wall = time.perf_counter() - t0
     if _WORKER_TOUCH is not None and ref:
         touch_dir, tag = _WORKER_TOUCH
-        # Write-ahead: one access record per evaluation, to this
-        # worker's own file.  ``evals=1`` carries the worker-side
-        # evaluation count home (the parent's counter never saw it).
+        # One access record per evaluation, to this worker's own file.
+        # ``evals=1`` carries the worker-side evaluation count home
+        # (the parent's counter never saw it).
         append_touch(touch_dir, tag, ref, evals=1)
     return index, outcome, wall
 
@@ -191,11 +192,15 @@ class _JobRunner:
         workers: int | None,
         touch: tuple[str, str] | None = None,
         trace_paths: dict[str, str] | None = None,
+        used: Callable[[str], None] | None = None,
     ) -> None:
         self._jobs = jobs
         self._traces = traces
         self._touch = touch
         self._trace_paths = trace_paths or {}
+        #: serial jobs report each use of a store-backed trace (by
+        #: label) straight to the store
+        self._used = used
         # A dispatching backend (the shared evaluation service) takes
         # whole job lists instead of having a pool forked around it:
         # submitting through it is what lets N concurrent campaigns
@@ -256,12 +261,8 @@ class _JobRunner:
             with obs.span("engine.evaluate", index=index):
                 outcome = evaluate_scenario(self._traces[label], scenario)
             wall = time.perf_counter() - t0
-            if self._touch is not None and ref:
-                # Same write-ahead record the workers produce, with
-                # evals=0: the parent's evaluation counter already saw
-                # this one, only the access time / hit count is news.
-                touch_dir, tag = self._touch
-                append_touch(touch_dir, tag, ref, evals=0)
+            if self._used is not None and ref:
+                self._used(label)
             yield index, outcome, wall
 
     @staticmethod
@@ -362,9 +363,9 @@ class CampaignStream:
     finish them, then points replayed from peer campaigns — each
     tagged with its canonical ``index``.  :meth:`result` drains
     whatever has not been consumed and assembles the canonical-order
-    :class:`CampaignResult`.  On completion the stream folds the
-    write-ahead touch files back into the store index and releases any
-    claims it still holds.
+    :class:`CampaignResult`.  On completion the stream merges its pool
+    workers' access logs into the store and releases any claims it
+    still holds.
     """
 
     def __init__(
@@ -382,7 +383,7 @@ class CampaignStream:
         self._store = store if store is not None else default_store()
         self._use_cache = use_cache
         self._started = time.perf_counter()
-        # The tag namespacing this campaign's write-ahead touch files:
+        # The tag namespacing this campaign's worker access logs:
         # spec identity for attribution, a nonce for uniqueness when
         # the same spec runs twice concurrently.
         self._touch_tag = f"{spec.digest[:8]}-{uuid.uuid4().hex[:8]}"
@@ -453,7 +454,7 @@ class CampaignStream:
                 # The artifact's on-disk path lets a dispatching
                 # backend (the shared service) hand jobs to resident
                 # workers without pickling the trace per job.
-                path = self._store._resolve(trace_keys[kernel.label])
+                path = self._store.path_for(trace_keys[kernel.label])
                 if path.is_file():
                     trace_paths[kernel.label] = str(path)
                 self.trace_meta[kernel.label] = {
@@ -478,6 +479,7 @@ class CampaignStream:
             workers,
             touch=(str(self._store.touch_dir), self._touch_tag),
             trace_paths=trace_paths,
+            used=lambda label: self._store.touch(trace_keys[label]),
         )
         self._iterator = self._generate()
         if obs.active():
@@ -639,7 +641,7 @@ class CampaignStream:
         finally:
             # Stop the runner (and its worker pool) *before* merging,
             # so an early-abandoned stream cannot leave workers
-            # appending touch records after their files were swept.
+            # appending access records after their files were swept.
             close = getattr(runner_iter, "close", None)
             if close is not None:
                 close()
@@ -648,13 +650,13 @@ class CampaignStream:
             for index in sorted(self._owned_claims):
                 self._store.abandon_result_claim(self._result_keys[index])
             self._owned_claims.clear()
-            # Fold this campaign's write-ahead touch files into the
-            # index: access times feed the GC's LRU order, and the
-            # workers' evaluation counts join the process counter.
+            # Merge this campaign's worker access logs: access times
+            # feed the GC's LRU order, and the workers' evaluation
+            # counts join the process counter.
             merged = self._store.merge_touches(self._touch_tag)
             if merged["evaluations"]:
                 record_evaluations(merged["evaluations"])
-            # Telemetry follows the same write-ahead pattern: workers
+            # Telemetry follows the same per-process pattern: workers
             # emitted into per-process JSONL files; fold them into the
             # merged log now that the pool is closed.
             if obs.active():

@@ -33,39 +33,42 @@ touches one giant directory, and nothing bounds disk use.  The store
 therefore shards::
 
     <root>/
-      index.json            versioned JSON index (atomic rename)
       traces/<ab>/<name>-<digest16>.npz     trace shards
       results/<cd>/<backend>-<digest20>.npz result shards
-      touch/<tag>-<host>-<pid>.jsonl        per-worker write-ahead logs
+      touch/<tag>-<host>-<pid>.jsonl        pool-worker access logs
 
 * **Shards** — every artifact lives under a two-hex-character prefix
   directory derived from its digest (:func:`shard_of`, i.e.
   ``digest[:2]``: 256-way fan-out, stable forever).
-* **Index** — ``index.json`` maps each entry's *ref* (the digest
-  prefix embedded in its filename) to ``{kind, path, bytes, atime,
-  ctime}`` under a top-level ``{"index_format": N, "entries": ...}``
-  envelope.  Writes go through a temp file + ``os.replace`` so the
-  index is never torn; an unreadable or stale-format index is rebuilt
-  by scanning the shard directories, and addressable files missing
-  from the index (a crash between artifact write and index flush) are
-  adopted on first lookup.  Access times are updated in memory and
-  flushed on the next mutation, so pure-read workloads do not rewrite
-  the index per hit.
+* **The filesystem is the index** — every artifact is single-
+  assignment: content-addressed, written once by atomic rename, never
+  changed afterwards.  Its path already records its kind and *ref*
+  (the digest prefix embedded in the filename), and ``stat`` records
+  the rest: size, creation time (mtime) and last use (atime).  A
+  lookup opens the canonical path and nothing else; a file that has
+  vanished is a miss.  Totals (``len``, ``stats``, GC) come from one
+  ``os.scandir`` walk over the shard directories.
+* **Recency** — a put sets atime = mtime from one clock, and every hit
+  re-stamps atime only (``os.utime``), so LRU order survives process
+  boundaries with nothing to flush.
 * **GC** — ``TraceStore(max_bytes=..., policy="lru")`` bounds disk
-  use: :meth:`TraceStore.gc` (also run automatically after each put
-  when a budget is set) evicts least-recently-used **result-cache
-  entries first, then traces** (results are cheap to recompute from a
-  stored trace; a trace costs an interpreter run), stops as soon as
-  the budget is met, and never evicts an entry a reader currently has
-  pinned (:meth:`TraceStore.reading`).  Evictions are counted per
-  kind (``counters.evictions`` / ``result_counters.evictions``).
-* **Write-ahead touch files** — multiprocessing campaign workers never
-  write ``index.json``; each worker appends one JSON line per
-  evaluation to its own ``touch/<tag>-<host>-<pid>.jsonl`` file and the
-  parent merges them (access times, hit counters, worker-side
-  evaluation counts) when the campaign completes
-  (:meth:`TraceStore.merge_touches`), so the index cannot be corrupted
-  by concurrent writers.
+  use: :meth:`TraceStore.gc` (also run automatically after a put that
+  takes the store over its budget) evicts least-recently-used
+  **result-cache entries first, then traces** (results are cheap to
+  recompute from a stored trace; a trace costs an interpreter run) —
+  oldest atime first, or oldest mtime under ``policy="fifo"`` — stops
+  as soon as the budget is met, and never evicts an entry a reader
+  currently has pinned (:meth:`TraceStore.reading`).  Evictions are
+  counted per kind (``counters.evictions`` /
+  ``result_counters.evictions``).  Puts stay O(1): with no budget they
+  do no scan at all, and with one they add to a running byte total
+  that one scan seeds and every GC pass recomputes.
+* **Worker access logs** — multiprocessing pool workers (and service
+  workers) append one JSON line per evaluation to their own
+  ``touch/<tag>-<host>-<pid>.jsonl`` file; the campaign parent merges
+  them when the campaign completes (:meth:`TraceStore.merge_touches`):
+  access times are applied with ``os.utime``, and trace-hit counters
+  and worker-side evaluation counts join the parent's.
 * **Claim leases** — in-process claims (threads, streams) coordinate
   through :class:`threading.Event`; *cross-process* claims coordinate
   through lock-file leases under ``leases/``: one small JSON file per
@@ -83,9 +86,10 @@ therefore shards::
   root therefore never build the same entry twice while the first
   builder is alive; a crash stops the heartbeat and delays rivals by
   at most ``lease_ttl_s``.
-* **Migration** — a legacy flat-layout store (traces at ``<root>/
-  *.npz``, results at ``<root>/results/*.npz``) is migrated losslessly
-  into the sharded layout the first time it is opened.
+
+Files outside the shard directories (a legacy flat-layout root, a
+stale ``index.json``) are ignored: the store is a cache, so anything
+it cannot address is simply rebuilt.
 
 ``repro store stats`` and ``repro store gc`` expose the same machinery
 on the command line.
@@ -107,7 +111,7 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
@@ -118,7 +122,6 @@ from ..ir.loops import Program
 from ..ir.trace import TRACE_DIGEST_VERSION, Trace
 
 __all__ = [
-    "INDEX_FORMAT_VERSION",
     "LEASE_TTL_S",
     "RESULT_FORMAT_VERSION",
     "STORE_MAX_BYTES_ENV",
@@ -144,12 +147,6 @@ TRACE_STORE_ENV = "REPRO_TRACE_STORE"
 #: Environment variable setting the default store's disk budget (bytes).
 STORE_MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
 
-#: Version of the on-disk index envelope; a bump (or any unreadable
-#: index) triggers a rebuild from the shard directories instead of a
-#: misread.
-INDEX_FORMAT_VERSION = 1
-
-_INDEX_NAME = "index.json"
 _TRACES_DIR = "traces"
 _RESULTS_DIR = "results"
 _TOUCH_DIR = "touch"
@@ -278,7 +275,7 @@ class TraceKey:
 
     @property
     def ref(self) -> str:
-        """The digest prefix embedded in the filename — the index key."""
+        """The digest prefix embedded in the filename (the entry's name)."""
         return self.digest[:16]
 
     @property
@@ -344,7 +341,7 @@ class ResultKey:
 
     @property
     def ref(self) -> str:
-        """The digest prefix embedded in the filename — the index key."""
+        """The digest prefix embedded in the filename (the entry's name)."""
         return self.digest[:20]
 
     @property
@@ -357,15 +354,39 @@ def _ref_from_filename(name: str) -> str:
     """Recover an entry's ref from its filename (``<safe>-<hex>.npz``).
 
     Filenames that do not follow the convention (hand-copied files)
-    fall back to the whole stem — still indexed, GC-able and preserved
-    by migration, just never addressed by a key lookup (exactly their
-    status in the flat layout).
+    fall back to the whole stem — still counted and GC-able, just
+    never addressed by a key lookup.
     """
     stem = Path(name).stem
     candidate = stem.rsplit("-", 1)[-1]
     if len(candidate) >= 2 and all(c in "0123456789abcdef" for c in candidate):
         return candidate
     return stem
+
+
+class _Entry(NamedTuple):
+    """One artifact as the shard walk sees it."""
+
+    kind: str  # "trace" or "result"
+    ref: str
+    path: Path
+    bytes: int
+    atime_ns: int  # last use
+    mtime_ns: int  # creation
+
+
+def _stamp(path: Path, at_ns: int | None = None) -> None:
+    """Record a use of an artifact: atime moves forward, mtime stays.
+
+    A file that vanished (evicted, or cleared by another process) is
+    ignored — recency is a hint, never worth failing a lookup over.
+    """
+    try:
+        st = os.stat(path)
+        atime = time.time_ns() if at_ns is None else max(at_ns, st.st_atime_ns)
+        os.utime(path, ns=(atime, st.st_mtime_ns))
+    except OSError:
+        pass
 
 
 def _save_outcome(path: Path, outcome: EvalOutcome) -> Path:
@@ -440,17 +461,15 @@ def _load_outcome(path: Path) -> EvalOutcome:
 def append_touch(
     touch_dir: str | os.PathLike, tag: str, ref: str, *, evals: int = 0
 ) -> None:
-    """Append one write-ahead access record for a trace entry.
+    """Append one access record for a trace entry.
 
-    Campaign workers (and the serial executor, for symmetry) call this
-    once per evaluated job instead of writing the index: each process
-    appends to its *own* ``<tag>-<pid>.jsonl`` file, so no two writers
-    ever share a file and the index cannot be torn by a worker crash.
-    The campaign parent folds the files back into the index — access
-    times, trace-hit counters and worker-side evaluation counts — via
-    :meth:`TraceStore.merge_touches`.  Failures are swallowed: touches
-    are advisory (LRU hints and observability), never worth failing an
-    evaluation over.
+    Pool and service workers call this once per evaluated job: each
+    process appends to its *own* ``<tag>-<host>-<pid>.jsonl`` file, so
+    no two writers ever share a file.  The campaign parent applies the
+    records — access times, trace-hit counters and worker-side
+    evaluation counts — via :meth:`TraceStore.merge_touches`.
+    Failures are swallowed: touches are advisory (LRU hints and
+    observability), never worth failing an evaluation over.
     """
     try:
         directory = Path(touch_dir)
@@ -527,10 +546,10 @@ class GCReport:
         }
 
 
-#: Eviction policies: an index entry -> sort key (evict smallest first).
-_POLICIES: dict[str, Callable[[dict], object]] = {
-    "lru": lambda entry: entry.get("atime", 0.0),
-    "fifo": lambda entry: entry.get("ctime", 0.0),
+#: Eviction policies: an entry -> sort key (evict smallest first).
+_POLICIES: dict[str, Callable[[_Entry], int]] = {
+    "lru": lambda entry: entry.atime_ns,
+    "fifo": lambda entry: entry.mtime_ns,
 }
 
 
@@ -540,31 +559,6 @@ def _lease_fields(path: Path) -> dict[str, str]:
     ref = rest[:-5] if rest.endswith(".json") else rest
     kind = {"t": "trace", "r": "result"}.get(letter, letter)
     return {"kind": kind, "ref": ref}
-
-
-def _counter_aliases(kind: str) -> Callable[[Mapping], dict[str, int]]:
-    def build(snapshot: Mapping) -> dict[str, int]:
-        return {
-            name: snapshot[f"{kind}_{name}_total"]
-            for name in ("memory_hits", "disk_hits", "misses", "evictions")
-        }
-
-    return build
-
-
-#: One-release deprecation shim: pre-obs ``stats()`` keys -> canonical.
-_STATS_ALIASES: dict[str, object] = {
-    "traces": lambda s: {
-        "entries": s["trace_entries"],
-        "bytes": s["trace_bytes"],
-    },
-    "results": lambda s: {
-        "entries": s["result_entries"],
-        "bytes": s["result_bytes"],
-    },
-    "trace_counters": _counter_aliases("trace"),
-    "result_counters": _counter_aliases("result"),
-}
 
 
 class _LeaseWaiter:
@@ -615,18 +609,16 @@ class TraceStore:
     invokes the builder — persisting its result for every later
     process.  Unreadable or stale-format files are treated as misses
     and rebuilt in place, never propagated.  See the module docstring
-    for the on-disk layout, the index format and the GC policy.
+    for the on-disk layout, stat-based recency and the GC policy.
 
-    ``max_bytes`` bounds the store's disk use: when set, every put
-    triggers an LRU (or FIFO, per ``policy``) garbage-collection pass
-    that evicts result-cache entries first, then traces, skipping
-    entries currently pinned by a reader.  All index mutations are
-    serialised behind one re-entrant lock, builds and result
-    computations are single-flighted per key, and reads pin their
-    entry so GC can never unlink a file mid-read — the store is safe
-    for any number of threads/streams in one process, while
-    multiprocessing workers go through write-ahead touch files instead
-    of the index.
+    ``max_bytes`` bounds the store's disk use: when set, a put that
+    takes the store over budget triggers an LRU (or FIFO, per
+    ``policy``) garbage-collection pass that evicts result-cache
+    entries first, then traces, skipping entries currently pinned by a
+    reader.  Builds and result computations are single-flighted per
+    key, and reads pin their entry so GC can never unlink a file
+    mid-read — the store is safe for any number of threads/streams in
+    one process.
 
     Builds are additionally guarded *across processes* by lock-file
     leases (see the module docstring): a process that wins the
@@ -665,9 +657,9 @@ class TraceStore:
         self._memory: dict[TraceKey, Trace] = {}
         self._result_memory: dict[ResultKey, EvalOutcome] = {}
         self._lock = threading.RLock()
-        #: ref -> index entry; ``None`` until first loaded/migrated
-        self._entries: dict[str, dict] | None = None
-        self._dirty = False
+        #: running on-disk byte total for auto-GC; ``None`` until a
+        #: budgeted put seeds it with one scan
+        self._bytes: int | None = None
         #: refs currently being read (GC must not evict them)
         self._pins: Counter[str] = Counter()
         #: single-flight builds/claims: "t:<ref>" / "r:<ref>" -> Event
@@ -679,21 +671,11 @@ class TraceStore:
         #: cache of holder heartbeat manifests, so scanning N leases of
         #: one holder costs one manifest read, not N
         self._hb_cache: dict[tuple[str, int], tuple[float, float]] = {}
-        #: whether unindexed shard artifacts have been adopted (once)
-        self._adopted = False
-        #: (inode, mtime, size) of the index as this process last
-        #: wrote it — flushes skip the cross-process merge parse when
-        #: the on-disk file is still our own snapshot
-        self._last_flush_stat: tuple[int, int, int] | None = None
 
     # -- paths -----------------------------------------------------------------
     @property
-    def index_path(self) -> Path:
-        return self.root / _INDEX_NAME
-
-    @property
     def touch_dir(self) -> Path:
-        """Where write-ahead per-worker touch files live."""
+        """Where per-worker access logs live."""
         return self.root / _TOUCH_DIR
 
     def path_for(self, key: TraceKey) -> Path:
@@ -708,253 +690,75 @@ class TraceStore:
         with self._lock:
             if key in self._memory:
                 return True
-            entry = self._index().get(key.ref)
-            if entry is not None and entry.get("kind") == "trace":
-                return True
         return self.path_for(key).is_file()
 
     def __len__(self) -> int:
-        with self._lock:
-            self._adopt_unindexed()
-            return sum(
-                1 for e in self._index().values() if e.get("kind") == "trace"
-            )
+        return sum(1 for entry in self._scan() if entry.kind == "trace")
 
-    # -- the index -------------------------------------------------------------
-    def _index(self) -> dict[str, dict]:
-        """Entries, loading/rebuilding/migrating on first use (locked)."""
-        if self._entries is not None:
-            return self._entries
-        entries: dict[str, dict] | None = None
-        had_index = self.index_path.is_file()
-        if had_index:
-            try:
-                data = json.loads(self.index_path.read_text())
-                if (
-                    isinstance(data, dict)
-                    and data.get("index_format") == INDEX_FORMAT_VERSION
-                    and isinstance(data.get("entries"), dict)
-                ):
-                    entries = {
-                        str(ref): dict(entry)
-                        for ref, entry in data["entries"].items()
-                        if isinstance(entry, dict)
-                    }
-            except (OSError, ValueError):
-                entries = None
-        if entries is None:
-            # Missing, torn or stale-format index: rebuild the ground
-            # truth from the shard directories (crash-safe recovery).
-            # A pristine root (no index, no shards) stays untouched on
-            # disk until the first put.
-            entries = self._scan_shards()
-            self._dirty = had_index or bool(entries)
-            self._adopted = True  # the rebuild IS a full scan
-        # Drop entries whose artifact vanished behind our back.
-        for ref in [
-            ref
-            for ref, entry in entries.items()
-            if not (self.root / entry.get("path", "")).is_file()
-        ]:
-            del entries[ref]
-            self._dirty = True
-        if self._migrate_flat(entries):
-            self._dirty = True
-        self._entries = entries
-        if self._dirty:
-            self._flush_index()
-        return entries
+    # -- the shard walk --------------------------------------------------------
+    def _scan(self) -> list[_Entry]:
+        """Every artifact under ``traces/<ab>/`` and ``results/<ab>/``.
 
-    def _adopt_unindexed(self) -> None:
-        """Fold shard artifacts missing from the index back in (once).
-
-        A valid index can still under-report: an entry another process
-        indexed can lose a concurrent flush's rename race, and a crash
-        between artifact write and index flush leaves the file
-        unindexed.  Lookups recover per key (canonical-path adoption);
-        the paths that need *ground-truth totals* — ``len``, result
-        counts, ``stats``, GC budgets — call this instead.  One shard
-        walk per store instance, and only on those paths, so plain
-        lookup traffic never pays an O(artifacts) directory scan.
-        Locked by the caller.
+        The store's only O(entries) operation: ``len``, result counts,
+        sizes, stats, GC and ``clear`` read the ground truth from here,
+        one ``stat`` per artifact.  In-flight temp files and anything
+        outside the two-hex-character shard directories are skipped.
         """
-        if self._adopted:
-            return
-        self._adopted = True
-        entries = self._index()
-        for ref, entry in self._scan_shards().items():
-            if ref not in entries:
-                entries[ref] = entry
-                self._dirty = True
-
-    def _scan_shards(self) -> dict[str, dict]:
-        """Rebuild index entries from the shard directories."""
-        entries: dict[str, dict] = {}
-        for kind, base in (
-            ("trace", self.root / _TRACES_DIR),
-            ("result", self.root / _RESULTS_DIR),
-        ):
-            if not base.is_dir():
+        entries: list[_Entry] = []
+        for kind, base in (("trace", _TRACES_DIR), ("result", _RESULTS_DIR)):
+            try:
+                shards = [
+                    shard.path
+                    for shard in os.scandir(self.root / base)
+                    if len(shard.name) == 2 and shard.is_dir()
+                ]
+            except OSError:
                 continue
-            for path in base.glob("[0-9a-f][0-9a-f]/*.npz"):
+            for shard in shards:
                 try:
-                    stat = path.stat()
+                    files = list(os.scandir(shard))
                 except OSError:
                     continue
-                entries[_ref_from_filename(path.name)] = {
-                    "kind": kind,
-                    "path": str(path.relative_to(self.root)),
-                    "bytes": stat.st_size,
-                    "atime": stat.st_mtime,
-                    "ctime": stat.st_mtime,
-                }
+                for item in files:
+                    if not item.name.endswith(".npz"):
+                        continue
+                    try:
+                        st = item.stat()
+                    except OSError:
+                        continue  # evicted mid-walk
+                    entries.append(
+                        _Entry(
+                            kind,
+                            _ref_from_filename(item.name),
+                            Path(item.path),
+                            st.st_size,
+                            st.st_atime_ns,
+                            st.st_mtime_ns,
+                        )
+                    )
         return entries
 
-    def _migrate_flat(self, entries: dict[str, dict]) -> bool:
-        """Move a legacy flat-layout store into shards (lossless).
+    def _written(self, path: Path) -> None:
+        """Stamp a just-written artifact and enforce the budget (locked).
 
-        Legacy traces live directly under the root, legacy results
-        directly under ``results/`` — both globs deliberately skip the
-        sharded subdirectories, so migration is a no-op on a store that
-        is already (or partially) sharded.
+        atime = mtime from one clock marks creation and first use.
+        With a budget, the running byte total — seeded by one scan,
+        recomputed by every GC pass — decides whether to collect, so a
+        put never walks the shard tree unless the store is over budget.
         """
-        moved = False
-        if not self.root.is_dir():
-            return moved
-        batches = [(self.root.glob("*.npz"), "trace", _TRACES_DIR)]
-        legacy_results = self.root / _RESULTS_DIR
-        if legacy_results.is_dir():
-            batches.append(
-                (
-                    (p for p in legacy_results.iterdir() if p.suffix == ".npz" and p.is_file()),
-                    "result",
-                    _RESULTS_DIR,
-                )
-            )
-        for paths, kind, base in batches:
-            for path in paths:
-                ref = _ref_from_filename(path.name)
-                dest = self.root / base / shard_of(ref) / path.name
-                try:
-                    stat = path.stat()
-                    dest.parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(path, dest)
-                except OSError:
-                    continue
-                entries[ref] = {
-                    "kind": kind,
-                    "path": str(dest.relative_to(self.root)),
-                    "bytes": stat.st_size,
-                    "atime": stat.st_mtime,
-                    "ctime": stat.st_mtime,
-                }
-                moved = True
-        return moved
-
-    def _flush_index(self) -> None:
-        """Atomically persist the index (temp file + rename; locked).
-
-        Flushes *merge* with the on-disk index first: another process
-        sharing this root may have indexed entries this process has
-        never seen, and publishing a raw snapshot of our in-memory map
-        would erase them (last-writer-wins).  Disk-only entries whose
-        artifact still exists are folded in before the rename; entries
-        evicted by GC or ``clear`` do not resurrect, because their
-        artifacts are gone.  A flush racing another process's flush
-        can still lose one entry in the rename window — the
-        ground-truth shard scan (:meth:`_adopt_unindexed`, run by
-        ``len``/``stats``/GC) and the per-lookup adoption path
-        re-index such survivors from their artifacts.
-        """
-        if self._entries is None:
+        now = time.time_ns()
+        with contextlib.suppress(OSError):
+            os.utime(path, ns=(now, now))
+        if self.max_bytes is None:
+            self._bytes = None  # unbudgeted puts are not tracked
             return
-        self.root.mkdir(parents=True, exist_ok=True)
-        # Skip the merge parse when the on-disk index is still this
-        # process's own last snapshot (inode/mtime/size unchanged):
-        # single-writer stores then never pay an extra O(entries)
-        # read per put; only an actual foreign write triggers it.
-        disk_stat = self._index_stat()
-        if disk_stat is not None and disk_stat != self._last_flush_stat:
-            try:
-                data = json.loads(self.index_path.read_text())
-                if (
-                    isinstance(data, dict)
-                    and data.get("index_format") == INDEX_FORMAT_VERSION
-                    and isinstance(data.get("entries"), dict)
-                ):
-                    for ref, entry in data["entries"].items():
-                        if (
-                            str(ref) in self._entries
-                            or not isinstance(entry, dict)
-                        ):
-                            continue
-                        if (self.root / entry.get("path", "")).is_file():
-                            self._entries[str(ref)] = dict(entry)
-            except (OSError, ValueError):
-                pass  # torn disk index: nothing to merge
-        document = json.dumps(
-            {
-                "index_format": INDEX_FORMAT_VERSION,
-                "policy": self.policy,
-                "entries": self._entries,
-            },
-            sort_keys=True,
-        )
-        fd, tmp = tempfile.mkstemp(
-            dir=self.root, prefix=_INDEX_NAME, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w") as fh:
-                fh.write(document + "\n")
-            os.replace(tmp, self.index_path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        self._last_flush_stat = self._index_stat()
-        self._dirty = False
-
-    def _index_stat(self) -> tuple[int, int, int] | None:
-        """Identity of the on-disk index file (inode, mtime, size)."""
-        try:
-            st = os.stat(self.index_path)
-        except OSError:
-            return None
-        return (st.st_ino, st.st_mtime_ns, st.st_size)
-
-    def _record_entry(self, ref: str, kind: str, path: Path) -> None:
-        """Index a just-written artifact and flush (locked by caller).
-
-        Puts flush eagerly — a concurrent reader in another process
-        should see the entry without relying on the canonical-path
-        adoption fallback — while access-time updates only mark the
-        index dirty and ride along with the next flush.  At the store
-        sizes one machine hosts the serialize-on-put cost is dwarfed
-        by the compressed ``.npz`` write itself; if profiles ever say
-        otherwise, batching puts behind the existing ``_dirty``
-        mechanism is the lever.
-        """
-        try:
-            size = path.stat().st_size
-        except OSError:
-            return
-        now = time.time()
-        entry = self._index().get(ref)
-        self._index()[ref] = {
-            "kind": kind,
-            "path": str(path.relative_to(self.root)),
-            "bytes": size,
-            "atime": now,
-            "ctime": entry["ctime"] if entry else now,
-        }
-        self._flush_index()
-
-    def _touch_entry(self, ref: str, at: float | None = None) -> None:
-        """Refresh an entry's access time in memory (flushed lazily)."""
-        entry = self._index().get(ref)
-        if entry is not None:
-            entry["atime"] = max(entry.get("atime", 0.0), at or time.time())
-            self._dirty = True
+        if self._bytes is None:
+            self._bytes = sum(entry.bytes for entry in self._scan())
+        else:
+            with contextlib.suppress(OSError):
+                self._bytes += path.stat().st_size
+        if self._bytes > self.max_bytes:
+            self.gc(sweep_leases=False)
 
     # -- read pinning ----------------------------------------------------------
     @contextlib.contextmanager
@@ -1431,31 +1235,15 @@ class TraceStore:
         return swept
 
     # -- trace access ----------------------------------------------------------
-    def _resolve(self, key: TraceKey) -> Path:
-        """The entry's actual path: index first, canonical otherwise."""
-        with self._lock:
-            entry = self._index().get(key.ref)
-            if entry is not None and entry.get("kind") == "trace":
-                return self.root / entry["path"]
-        return self.path_for(key)
-
     def load(self, key: TraceKey) -> Trace | None:
         """Disk lookup only; ``None`` on absent or unreadable entries."""
-        path = self._resolve(key)
+        path = self.path_for(key)
         with self.reading(key.ref):
-            if not path.is_file():
-                return None
             try:
                 trace = Trace.load(path)
             except (OSError, ValueError, KeyError, zipfile.BadZipFile):
                 return None
-        with self._lock:
-            if key.ref in self._index():
-                self._touch_entry(key.ref)
-            else:
-                # Crash between artifact write and index flush (or a
-                # hand-copied file at its canonical path): adopt it.
-                self._record_entry(key.ref, "trace", path)
+        _stamp(path)
         return trace
 
     def put(self, key: TraceKey, trace: Trace) -> Path:
@@ -1463,51 +1251,61 @@ class TraceStore:
             self._memory[key] = trace
         path = trace.save(self.path_for(key))
         with self._lock:
-            self._record_entry(key.ref, "trace", path)
-            self._auto_gc()
+            self._written(path)
         return path
+
+    def touch(self, key: TraceKey) -> None:
+        """Count one use of an in-memory trace and stamp its recency.
+
+        The serial executor calls this once per evaluated job (pool
+        workers log the same use to their access files instead).
+        """
+        with self._lock:
+            self.counters.memory_hits += 1
+        _stamp(self.path_for(key))
 
     def compact_traces(
         self, refs: "Iterable[str] | None" = None
     ) -> list[dict]:
         """Rewrite stored traces in the super-op layout where it pays.
 
-        Loads every indexed trace shard (or only ``refs``), runs cycle
+        Loads every stored trace shard (or only ``refs``), runs cycle
         detection (:mod:`repro.ir.superops`) and re-saves in place —
         the atomic-replace write and the layout-independent digests
         mean concurrent readers see either the old or the new bytes,
         both of which load bit-identically.  Shards that do not
-        compact are rewritten flat (a no-op apart from mtime).
-        Returns one report row per shard for the CLI.
+        compact are rewritten flat.  The rewrite keeps each shard's
+        access and creation times, so GC order is unchanged.  Returns
+        one report row per shard for the CLI.
         """
         wanted = None if refs is None else set(refs)
-        with self._lock:
-            entries = {
-                ref: dict(entry)
-                for ref, entry in self._index().items()
-                if entry.get("kind") == "trace"
-                and (wanted is None or ref in wanted)
-            }
+        entries = sorted(
+            (
+                entry
+                for entry in self._scan()
+                if entry.kind == "trace"
+                and (wanted is None or entry.ref in wanted)
+            ),
+            key=lambda entry: entry.ref,
+        )
         report: list[dict] = []
-        for ref, entry in sorted(entries.items()):
-            path = self.root / entry["path"]
+        for entry in entries:
             try:
-                trace = Trace.load(path)
-                bytes_before = path.stat().st_size
+                trace = Trace.load(entry.path)
             except (OSError, ValueError, KeyError, zipfile.BadZipFile):
                 continue
-            trace.save(path, compact=True)
+            trace.save(entry.path, compact=True)
+            with contextlib.suppress(OSError):
+                os.utime(entry.path, ns=(entry.atime_ns, entry.mtime_ns))
             superops = trace.attached_superops()
             n_ops = len(superops.ops) if superops is not None else 0
             coverage = superops.coverage if superops is not None else 0.0
-            with self._lock:
-                self._record_entry(ref, "trace", path)
             report.append(
                 {
-                    "ref": ref,
-                    "path": str(entry["path"]),
-                    "bytes_before": bytes_before,
-                    "bytes_after": path.stat().st_size,
+                    "ref": entry.ref,
+                    "path": str(entry.path.relative_to(self.root)),
+                    "bytes_before": entry.bytes,
+                    "bytes_after": entry.path.stat().st_size,
                     "n_ops": n_ops,
                     "coverage": round(coverage, 4),
                 }
@@ -1535,10 +1333,9 @@ class TraceStore:
         while True:
             with self._lock:
                 trace = self._memory.get(key)
-                if trace is not None:
-                    self.counters.memory_hits += 1
-                    self._touch_entry(key.ref)
-                    return trace
+            if trace is not None:
+                self.touch(key)
+                return trace
             trace = self.load(key)
             if trace is not None:
                 with self._lock:
@@ -1560,7 +1357,7 @@ class TraceStore:
                 self._end_flight(token)
                 _LeaseWaiter(
                     self, "trace", key.ref,
-                    lambda: self._resolve(key).is_file(),
+                    lambda: self.path_for(key).is_file(),
                 ).wait(
                     max(0.1, defer_deadline - time.monotonic())
                 )
@@ -1577,10 +1374,9 @@ class TraceStore:
         # released).  Re-check both before interpreting twice.
         with self._lock:
             trace = self._memory.get(key)
-            if trace is not None:
-                self.counters.memory_hits += 1
-                self._touch_entry(key.ref)
-        if trace is None:
+        if trace is not None:
+            self.touch(key)
+        else:
             trace = self.load(key)
             if trace is not None:
                 with self._lock:
@@ -1610,18 +1406,7 @@ class TraceStore:
 
     # -- result cache ----------------------------------------------------------
     def n_results(self) -> int:
-        with self._lock:
-            self._adopt_unindexed()
-            return sum(
-                1 for e in self._index().values() if e.get("kind") == "result"
-            )
-
-    def _resolve_result(self, key: ResultKey) -> Path:
-        with self._lock:
-            entry = self._index().get(key.ref)
-            if entry is not None and entry.get("kind") == "result":
-                return self.root / entry["path"]
-        return self.result_path_for(key)
+        return sum(1 for entry in self._scan() if entry.kind == "result")
 
     def lookup_result(
         self, key: ResultKey, *, count: bool = True
@@ -1632,33 +1417,28 @@ class TraceStore:
         to close the lookup→claim race — a re-check, not a new lookup,
         so it must not distort the hit/miss telemetry.
         """
+        path = self.result_path_for(key)
         with self._lock:
             outcome = self._result_memory.get(key)
-            if outcome is not None:
-                if count:
-                    self.result_counters.memory_hits += 1
-                self._touch_entry(key.ref)
+            if outcome is not None and count:
+                self.result_counters.memory_hits += 1
         if outcome is not None:
+            _stamp(path)
             if count:
                 obs.emit("cache.hit", ref=key.ref, tier="memory")
             return outcome
-        path = self._resolve_result(key)
-        outcome = None
         with self.reading(key.ref):
-            if path.is_file():
-                try:
-                    outcome = _load_outcome(path)
-                except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-                    outcome = None
+            try:
+                outcome = _load_outcome(path)
+            except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+                outcome = None  # absent, vanished, torn or stale-format
+        if outcome is not None:
+            _stamp(path)
         with self._lock:
             if outcome is not None:
                 if count:
                     self.result_counters.disk_hits += 1
                 self._result_memory[key] = outcome
-                if key.ref in self._index():
-                    self._touch_entry(key.ref)
-                else:
-                    self._record_entry(key.ref, "result", path)
             elif count:
                 self.result_counters.misses += 1
         if count:
@@ -1692,7 +1472,7 @@ class TraceStore:
         self._end_flight(token)
         return _LeaseWaiter(
             self, "result", key.ref,
-            lambda: self._resolve_result(key).is_file(),
+            lambda: self.result_path_for(key).is_file(),
         )
 
     def abandon_result_claim(self, key: ResultKey) -> None:
@@ -1705,8 +1485,7 @@ class TraceStore:
             self._result_memory[key] = outcome
         path = _save_outcome(self.result_path_for(key), outcome)
         with self._lock:
-            self._record_entry(key.ref, "result", path)
-            self._auto_gc()
+            self._written(path)
         self.release_lease(key.ref)
         self._end_flight(f"r:{key.ref}")  # wake any claim waiters
         return path
@@ -1766,80 +1545,66 @@ class TraceStore:
             if claimed:
                 self.abandon_result_claim(key)
 
-    # -- write-ahead touch merging ---------------------------------------------
+    # -- worker access logs ----------------------------------------------------
     def merge_touches(
         self, tag: str | None = None, *, stale_after_s: float = 0.0
     ) -> dict[str, int]:
-        """Fold per-worker touch files back into the index.
+        """Apply per-worker access logs to the store, then delete them.
 
-        Applies every record — entry access times become the max of
-        index and touch times, each trace touch counts as a trace-store
-        memory hit (the job evaluated against the already-acquired
-        table), and worker-side evaluation counts are summed for the
-        caller to merge into the process counter — then deletes the
-        files.  With ``tag`` only that campaign's files are merged, so
-        a completing campaign never swallows (and half-reads) the
-        write-ahead files of one still in flight.  Untagged callers
-        (the ``repro store`` admin commands, which cannot know which
-        campaigns are live in other processes) pass ``stale_after_s``
-        to merge only files idle at least that long — a file still
-        being appended to belongs to a running campaign and is left
-        for its owner.  Malformed trailing lines (a worker killed
-        mid-write) are skipped, not propagated.
+        Every record counts as a trace-store memory hit (the job
+        evaluated against the already-acquired table), its time moves
+        the trace's atime forward (``os.utime``, so LRU order sees
+        worker use), and worker-side evaluation counts are summed for
+        the caller to merge into the process counter.  With ``tag``
+        only that campaign's files are merged, so a completing campaign
+        never swallows (and half-reads) the logs of one still in
+        flight.  Untagged callers (the ``repro store`` admin commands,
+        which cannot know which campaigns are live in other processes)
+        pass ``stale_after_s`` to merge only files idle at least that
+        long — a file still being appended to belongs to a running
+        campaign and is left for its owner.  Malformed trailing lines
+        (a worker killed mid-write) are skipped, not propagated.
         """
         pattern = f"{tag}-*.jsonl" if tag else "*.jsonl"
         merged = {"files": 0, "touches": 0, "evaluations": 0}
         if not self.touch_dir.is_dir():
             return merged
+        #: ref -> latest access time (ns) over every merged record
+        latest: dict[str, int] = {}
         for path in sorted(self.touch_dir.glob(pattern)):
             try:
                 if (
                     stale_after_s
                     and time.time() - path.stat().st_mtime < stale_after_s
                 ):
-                    continue  # a live campaign's write-ahead file
+                    continue  # a live campaign's access log
                 lines = path.read_text().splitlines()
             except OSError:
                 continue
-            with self._lock:
-                for line in lines:
-                    try:
-                        record = json.loads(line)
-                        ref = str(record["ref"])
-                        at = float(record.get("at", 0.0))
-                        evals = int(record.get("evals", 0))
-                    except (ValueError, TypeError, KeyError):
-                        continue  # torn write-ahead line
-                    self._touch_entry(ref, at=at)
-                    self.counters.memory_hits += 1
-                    merged["touches"] += 1
-                    merged["evaluations"] += evals
+            for line in lines:
+                try:
+                    record = json.loads(line)
+                    ref = str(record["ref"])
+                    at_ns = int(float(record.get("at", 0.0)) * 1e9)
+                    evals = int(record.get("evals", 0))
+                except (ValueError, TypeError, KeyError):
+                    continue  # torn line
+                latest[ref] = max(latest.get(ref, 0), at_ns)
+                merged["touches"] += 1
+                merged["evaluations"] += evals
             path.unlink(missing_ok=True)
             merged["files"] += 1
-        if merged["files"]:
-            with self._lock:
-                if self._dirty and self._entries is not None:
-                    self._flush_index()
+        with self._lock:
+            self.counters.memory_hits += merged["touches"]
+        for ref, at_ns in latest.items():
+            shard = self.root / _TRACES_DIR / shard_of(ref)
+            for path in shard.glob(f"*-{ref}.npz"):
+                _stamp(path, at_ns)
         return merged
 
     # -- garbage collection ----------------------------------------------------
     def total_bytes(self) -> int:
-        with self._lock:
-            self._adopt_unindexed()
-            return sum(e.get("bytes", 0) for e in self._index().values())
-
-    def _auto_gc(self) -> None:
-        """Enforce the construction-time budget after a put (locked).
-
-        Skips the stale-lease sweep: this path runs *inside* the store
-        lock, and the sweep is directory I/O that must never stall
-        concurrent lookups/puts (explicit ``gc()`` calls, which enter
-        unlocked, do sweep).
-        """
-        if self.max_bytes is None:
-            return
-        if sum(e.get("bytes", 0) for e in self._index().values()) > self.max_bytes:
-            self.gc(sweep_leases=False)
+        return sum(entry.bytes for entry in self._scan())
 
     def gc(
         self, max_bytes: int | None = None, *, sweep_leases: bool = True
@@ -1848,60 +1613,48 @@ class TraceStore:
 
         Eviction order is **results first, then traces** (results are
         recomputable from a stored trace in milliseconds; a trace costs
-        an interpreter run), least-recently-used first within each kind
-        (or oldest-created, under ``policy="fifo"``).  The pass stops
-        the moment the budget is met — it never over-evicts below
-        ``max_bytes`` — and entries pinned by an in-flight reader are
-        skipped even if that leaves the store over budget.  With no
-        budget (neither argument nor construction-time) it is a no-op
-        that reports the current size.  Explicit passes also sweep
-        stale lease files (crashed campaigns leave one per claimed
-        point) — before taking the store lock, because the sweep is
-        pure directory I/O; the auto-GC path, which enters with the
-        lock already held, skips it.
+        an interpreter run), least-recently-used (oldest atime) first
+        within each kind — or oldest-created (mtime) under
+        ``policy="fifo"``.  The pass stops the moment the budget is met
+        — it never over-evicts below ``max_bytes`` — and entries pinned
+        by an in-flight reader are skipped even if that leaves the
+        store over budget.  With no budget (neither argument nor
+        construction-time) it is a no-op that reports the current
+        size.  Explicit passes also sweep stale lease files (crashed
+        campaigns leave one per claimed point) — before taking the
+        store lock, because the sweep is pure directory I/O; the
+        auto-GC path, which enters with the lock already held, skips
+        it.
         """
         if sweep_leases:
             self.sweep_stale_leases()
         with self._lock:
-            self._adopt_unindexed()
-            entries = self._index()
+            entries = self._scan()
             budget = self.max_bytes if max_bytes is None else max_bytes
-            total = sum(e.get("bytes", 0) for e in entries.values())
+            total = sum(entry.bytes for entry in entries)
             report = GCReport(total_bytes=total, max_bytes=budget)
-            if budget is None or total <= budget:
-                return report
-            order_key = _POLICIES[self.policy]
-            victims = [
-                (ref, entry)
-                for kind in ("result", "trace")
-                for ref, entry in sorted(
-                    (
-                        (ref, entry)
-                        for ref, entry in entries.items()
-                        if entry.get("kind") == kind
-                    ),
-                    key=lambda item: order_key(item[1]),
+            if budget is not None and total > budget:
+                order = _POLICIES[self.policy]
+                entries.sort(
+                    key=lambda e: (e.kind != "result", order(e), e.ref)
                 )
-            ]
-            for ref, entry in victims:
-                if total <= budget:
-                    break
-                if self._pins.get(ref):
-                    report.pinned_skipped += 1
-                    continue
-                (self.root / entry["path"]).unlink(missing_ok=True)
-                del entries[ref]
-                self._evict_memory(ref, entry["kind"])
-                size = entry.get("bytes", 0)
-                total -= size
-                report.freed_bytes += size
-                report.evicted.append((entry["kind"], ref, size))
-                if entry["kind"] == "result":
-                    self.result_counters.evictions += 1
-                else:
-                    self.counters.evictions += 1
-            report.total_bytes = total
-            self._flush_index()
+                for entry in entries:
+                    if total <= budget:
+                        break
+                    if self._pins.get(entry.ref):
+                        report.pinned_skipped += 1
+                        continue
+                    entry.path.unlink(missing_ok=True)
+                    self._evict_memory(entry.ref, entry.kind)
+                    total -= entry.bytes
+                    report.freed_bytes += entry.bytes
+                    report.evicted.append((entry.kind, entry.ref, entry.bytes))
+                    if entry.kind == "result":
+                        self.result_counters.evictions += 1
+                    else:
+                        self.counters.evictions += 1
+                report.total_bytes = total
+            self._bytes = total
         if report.evicted:
             obs.emit(
                 "gc.evicted",
@@ -1933,52 +1686,39 @@ class TraceStore:
         ``_total``-suffixed counters for the monotonic hit/miss/
         eviction counts.
         """
-        # Lease files are read without the store lock: the scan is
-        # pure file I/O, and holding the lock through it would stall
-        # every concurrent lookup/put for the duration.
+        # The shard walk and the lease scan are pure file I/O, done
+        # without the store lock so they never stall concurrent
+        # lookups/puts.
         active = self.active_leases()
+        entries = self._scan()
+        pending = (
+            sum(1 for _ in self.touch_dir.glob("*.jsonl"))
+            if self.touch_dir.is_dir()
+            else 0
+        )
         registry = obs.MetricsRegistry()
-        with self._lock:
-            self._adopt_unindexed()
-            entries = self._index()
-            by_kind: dict[str, dict[str, int]] = {
-                "trace": {"entries": 0, "bytes": 0},
-                "result": {"entries": 0, "bytes": 0},
-            }
-            shards: set[str] = set()
-            for entry in entries.values():
-                bucket = by_kind.setdefault(
-                    entry.get("kind", "trace"), {"entries": 0, "bytes": 0}
-                )
-                bucket["entries"] += 1
-                bucket["bytes"] += entry.get("bytes", 0)
-                shards.add(str(Path(entry.get("path", "")).parent))
-            pending = (
-                sum(1 for _ in self.touch_dir.glob("*.jsonl"))
-                if self.touch_dir.is_dir()
-                else 0
-            )
-            registry.label("root", str(self.root))
-            registry.label("policy", self.policy)
-            registry.label("max_bytes", self.max_bytes)
-            registry.label("index_format", INDEX_FORMAT_VERSION)
-            for kind in ("trace", "result"):
-                registry.gauge(
-                    f"{kind}_entries", f"indexed {kind} artifacts"
-                ).set(by_kind[kind]["entries"])
-                registry.gauge(
-                    f"{kind}_bytes", f"on-disk bytes of {kind} artifacts"
-                ).set(by_kind[kind]["bytes"])
-            registry.gauge("total_bytes", "total on-disk bytes").set(
-                sum(b["bytes"] for b in by_kind.values())
-            )
-            registry.gauge("shards", "populated shard directories").set(
-                len(shards)
-            )
+        registry.label("root", str(self.root))
+        registry.label("policy", self.policy)
+        registry.label("max_bytes", self.max_bytes)
+        for kind in ("trace", "result"):
+            mine = [entry for entry in entries if entry.kind == kind]
             registry.gauge(
-                "pending_touch_files", "unmerged write-ahead files"
-            ).set(pending)
-            registry.gauge("active_leases", "live claim leases").set(active)
+                f"{kind}_entries", f"stored {kind} artifacts"
+            ).set(len(mine))
+            registry.gauge(
+                f"{kind}_bytes", f"on-disk bytes of {kind} artifacts"
+            ).set(sum(entry.bytes for entry in mine))
+        registry.gauge("total_bytes", "total on-disk bytes").set(
+            sum(entry.bytes for entry in entries)
+        )
+        registry.gauge("shards", "populated shard directories").set(
+            len({entry.path.parent for entry in entries})
+        )
+        registry.gauge(
+            "pending_touch_files", "unmerged worker access logs"
+        ).set(pending)
+        registry.gauge("active_leases", "live claim leases").set(active)
+        with self._lock:
             for kind, counters in (
                 ("trace", self.counters),
                 ("result", self.result_counters),
@@ -1992,15 +1732,10 @@ class TraceStore:
     def stats(self) -> dict[str, object]:
         """One JSON-friendly snapshot of layout, sizes and counters.
 
-        Canonical snake_case schema (monotonic counts suffixed
-        ``_total``); the pre-obs nested keys (``traces``, ``results``,
-        ``trace_counters``, ``result_counters``) still resolve for one
-        release via a :class:`~repro.obs.LegacySnapshot` that warns
-        ``DeprecationWarning`` on access.
+        Canonical snake_case schema: monotonic counts suffixed
+        ``_total`` (see :meth:`stats_registry`).
         """
-        return obs.LegacySnapshot(
-            self.stats_registry().snapshot(), _STATS_ALIASES
-        )
+        return self.stats_registry().snapshot()
 
     # -- maintenance -----------------------------------------------------------
     def clear_memory(self) -> None:
@@ -2012,10 +1747,9 @@ class TraceStore:
         """Drop the memory maps and delete every on-disk entry."""
         with self._lock:
             self.clear_memory()
-            entries = self._index()
-            for entry in entries.values():
-                (self.root / entry["path"]).unlink(missing_ok=True)
-            entries.clear()
+            for entry in self._scan():
+                entry.path.unlink(missing_ok=True)
+            self._bytes = None
             if self.touch_dir.is_dir():
                 for path in self.touch_dir.glob("*.jsonl"):
                     path.unlink(missing_ok=True)
@@ -2026,7 +1760,6 @@ class TraceStore:
                 for path in (self.lease_dir / _HB_DIR).glob("*.json"):
                     path.unlink(missing_ok=True)
                 self._hb_cache.clear()
-            self._flush_index()
 
     def __repr__(self) -> str:
         return (

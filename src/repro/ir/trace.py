@@ -228,8 +228,10 @@ class Trace:
         ``compact=None`` (the default) is automatic: reuse an attached
         view, or run detection once on traces long enough to be worth
         it (the no-cycles outcome is attached too, so repeated saves
-        never re-scan).  ``compact=True`` forces detection;
-        ``compact=False`` forces the flat v1 layout.
+        never re-scan).  A view too large to pay is detached, so the
+        trace keeps exactly the view :meth:`load` gives its file.
+        ``compact=True`` forces detection; ``compact=False`` forces the
+        flat v1 layout.
         """
         if compact is False:
             return None
@@ -246,6 +248,10 @@ class Trace:
         # Only the super-op layout when it actually pays: the v2 file
         # stores one row per body instance plus the residual.
         if superops.n_stored_rows > self.n_instances // 2:
+            # The flat file loads with no view, so drop it here too: a
+            # fresh trace must replay through the same engine as its
+            # disk copy.
+            self.__dict__.pop("_superops", None)
             return None
         return superops
 

@@ -34,7 +34,6 @@ from .metrics import (
     Counter,
     Gauge,
     Histogram,
-    LegacySnapshot,
     MetricsRegistry,
 )
 from .profile import collect, enabled, phase
@@ -46,7 +45,6 @@ __all__ = [
     "HOSTNAME",
     "Gauge",
     "Histogram",
-    "LegacySnapshot",
     "MetricsRegistry",
     "ProgressLine",
     "active",

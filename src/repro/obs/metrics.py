@@ -8,24 +8,16 @@ gives them one registry of :class:`Counter` / :class:`Gauge` /
 :class:`Histogram` instruments with a stable ``snapshot()`` dict
 (snake_case; monotonic counts suffixed ``_total``) and a
 Prometheus-style text export.
-
-:class:`LegacySnapshot` keeps the previous schema readable for one
-release: legacy keys resolve through ``__getitem__``/``get`` with a
-:class:`DeprecationWarning` but are excluded from iteration and JSON
-serialization, so new output is clean while old callers keep working.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
-    "LegacySnapshot",
     "MetricsRegistry",
 ]
 
@@ -159,48 +151,3 @@ class MetricsRegistry:
                     continue
                 lines.append(f"{key} {value}")
         return "\n".join(lines) + "\n"
-
-
-class LegacySnapshot(dict):
-    """A snapshot dict that still answers for one-release-old keys.
-
-    Iteration, ``len``, ``keys`` and JSON serialization see only the
-    canonical schema; looking up a legacy key succeeds with a
-    :class:`DeprecationWarning`.  ``aliases`` maps each legacy key to
-    either the canonical key it renamed to or a callable building the
-    legacy value from the snapshot.
-    """
-
-    def __init__(
-        self,
-        data: Mapping[str, object],
-        aliases: Mapping[str, str | Callable[[Mapping], object]],
-    ):
-        super().__init__(data)
-        self._aliases = dict(aliases)
-
-    def _resolve(self, key: str) -> object:
-        warnings.warn(
-            f"stats key {key!r} is deprecated; use the canonical "
-            "snake_case schema (see docs/observability.md)",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        target = self._aliases[key]
-        if callable(target):
-            return target(self)
-        return dict.__getitem__(self, target)
-
-    def __getitem__(self, key):
-        if not dict.__contains__(self, key) and key in self._aliases:
-            return self._resolve(key)
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        try:
-            return self[key]
-        except KeyError:
-            return default
-
-    def __contains__(self, key) -> bool:
-        return dict.__contains__(self, key) or key in self._aliases

@@ -265,30 +265,6 @@ class TestMetrics:
         empty.histogram("idle")
         assert "idle_min" not in empty.to_prometheus()
 
-    def test_legacy_snapshot_warns_once_per_lookup(self):
-        snapshot = obs.LegacySnapshot(
-            {"trace_entries": 4, "total_bytes": 99},
-            {
-                "traces": lambda s: {"entries": s["trace_entries"]},
-                "old_total": "total_bytes",
-            },
-        )
-        # Canonical access: silent.
-        assert snapshot["trace_entries"] == 4
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            assert snapshot["traces"] == {"entries": 4}
-        with pytest.warns(DeprecationWarning):
-            assert snapshot["old_total"] == 99
-        with pytest.warns(DeprecationWarning):
-            assert snapshot.get("old_total") == 99
-        assert snapshot.get("never-was", "fallback") == "fallback"
-        assert "traces" in snapshot
-        # Iteration/JSON see the canonical schema only.
-        assert set(snapshot) == {"trace_entries", "total_bytes"}
-        assert "traces" not in json.loads(json.dumps(snapshot))
-        with pytest.raises(KeyError):
-            snapshot["never-was"]
-
 
 class TestProfile:
     def test_enabled_tracks_environment(self, monkeypatch):

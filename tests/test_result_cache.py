@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -82,18 +83,25 @@ class TestResultStore:
         assert store.n_results() == 0
 
     def test_results_live_in_shards_and_index(self, tmp_path):
+        """Every result sits at its canonical shard path, and the shard
+        tree (no index file) is what ``stats()`` counts."""
+        spec = small_spec()
         store = TraceStore(tmp_path)
-        run_campaign(small_spec(), store=store, parallel=False)
-        data = json.loads((tmp_path / "index.json").read_text())
-        results = {
-            ref: e
-            for ref, e in data["entries"].items()
-            if e["kind"] == "result"
-        }
-        assert len(results) == small_spec().n_points
-        for ref, entry in results.items():
-            assert entry["path"].startswith(f"results/{ref[:2]}/")
-            assert (tmp_path / entry["path"]).is_file()
+        run_campaign(spec, store=store, parallel=False)
+        trace_key = kernel_trace_key("hydro_fragment", n=120)
+        keys = [
+            ResultKey.make(trace_key, scenario)
+            for _kernel, scenario in spec.points()
+        ]
+        paths = [store.result_path_for(key) for key in keys]
+        for key, path in zip(keys, paths):
+            assert path.is_file()
+            assert path.parent == tmp_path / "results" / key.ref[:2]
+            assert path.name.endswith(f"-{key.ref}.npz")
+        stats = store.stats()
+        assert stats["result_entries"] == spec.n_points
+        assert stats["result_bytes"] == sum(p.stat().st_size for p in paths)
+        assert not (tmp_path / "index.json").exists()
 
 
 class TestEvictionOrdering:
@@ -263,6 +271,45 @@ class TestCampaignResultCache:
         assert evaluation_count() - before_evals == spec.n_points
         # Nothing left pending: the write-ahead files were consumed.
         assert not list(store.touch_dir.glob("*.jsonl"))
+
+    def test_serial_run_counts_trace_uses_without_access_logs(
+        self, tmp_path
+    ):
+        """The serial executor counts each evaluated job as a trace
+        hit and stamps the trace's atime itself: no access log is
+        written, and the trace reads as used after the campaign."""
+        spec = small_spec()
+        store = TraceStore(tmp_path)
+        kernel_trace_cached("hydro_fragment", n=120, store=store)
+        path = store.path_for(kernel_trace_key("hydro_fragment", n=120))
+        os.utime(path, ns=(1, 1))
+        before_hits = store.counters.memory_hits
+        run_campaign(spec, store=store, parallel=False, use_cache=False)
+        # One hit to acquire the trace, then one per evaluated job.
+        assert store.counters.memory_hits - before_hits == spec.n_points + 1
+        assert not store.touch_dir.exists()
+        assert path.stat().st_atime_ns > 1
+        assert path.stat().st_mtime_ns == 1  # recency never moves mtime
+
+    def test_cold_run_matches_cache_off_rerun(self, tmp_path):
+        """A freshly built trace and its disk copy take the same replay
+        path: hydro_2d's super-op view does not pay, so neither copy
+        keeps one, and a cold run equals a cache-off re-run record for
+        record (``vec_fallback_pes`` included)."""
+        spec = CampaignSpec(
+            name="hydro_2d-slice",
+            kernels=(KernelSpec("hydro_2d"),),
+            pes=(1, 8, 64),
+            page_sizes=(32, 64),
+            cache_elems=(256, 0),
+            cache_policies=("lru", "fifo"),
+            reduction_strategies=("host", "subrange"),
+        )
+        cold = run_campaign(spec, store=TraceStore(tmp_path), parallel=False)
+        again = run_campaign(
+            spec, store=TraceStore(tmp_path), parallel=False, use_cache=False
+        )
+        assert cold.identical(again)
 
     def test_use_cache_false_bypasses(self, tmp_path):
         spec = small_spec()

@@ -568,3 +568,47 @@ class TestStoreCoordination:
             ),
         )
         assert ok.backend == "service"
+
+    def test_peer_publish_between_miss_and_claim_is_a_hit(
+        self, hydro_trace, own_store, monkeypatch
+    ):
+        """A peer that publishes the point after the service's miss but
+        before its claim must not cost a second evaluation: the won
+        claim is re-checked (uncounted) and abandoned on a hit."""
+        configure_service(workers=0)
+        config = MachineConfig(n_pes=4, page_size=32)
+        scenario = Scenario(config=config, backend="service")
+        key = ResultKey(
+            trace_digest=hydro_trace.content_digest,
+            scenario_digest=scenario.digest,
+            backend="service:untimed",
+        )
+        published = get_backend("untimed").evaluate(
+            hydro_trace, Scenario(config=config, backend="untimed")
+        )
+        peer = TraceStore(own_store.root)  # another process's view
+        original = TraceStore.claim_result
+
+        def claim_after_peer_publishes(store, claimed_key):
+            if store is own_store and claimed_key == key:
+                peer.put_result(claimed_key, published)
+            return original(store, claimed_key)
+
+        monkeypatch.setattr(
+            TraceStore, "claim_result", claim_after_peer_publishes
+        )
+        service = get_service()
+        before = evaluation_count()
+        outcome = service.submit(
+            hydro_trace,
+            scenario,
+            count_eval=True,
+            result_key=key,
+            store=own_store,
+        ).result()
+        assert evaluation_count() == before
+        stats = service.stats()
+        assert stats["store_hits_total"] == 1
+        assert stats["completed_total"] == 0
+        assert np.array_equal(outcome.stats.counts, published.stats.counts)
+        assert own_store.active_leases() == 0  # the claim was abandoned

@@ -495,10 +495,10 @@ class TestTwoProcessRaces:
         )
         # No leases survive two clean completions.
         assert store.active_leases() == 0
-        # The index is parseable and every artifact is where it says.
-        data = json.loads(store.index_path.read_text())
-        for entry in data["entries"].values():
-            assert (store.root / entry["path"]).is_file()
+        # Every unique point's artifact sits at its canonical path.
+        for key in expected:
+            assert store.result_path_for(key).is_file()
+        assert store.stats()["result_entries"] == len(expected)
 
         # Telemetry audit: the merged log shows one trace build ever,
         # both campaigns completing, and no lease left unexplained.

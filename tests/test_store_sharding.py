@@ -1,4 +1,4 @@
-"""Property tests for the sharded store: shard mapping, migration, GC.
+"""Property tests for the sharded store: shard mapping, layout, GC.
 
 Randomized (seeded, Hypothesis-style) rather than example-based: each
 property is asserted over a generated population of keys/artifacts so
@@ -8,15 +8,15 @@ traffic:
 
 * the digest → shard mapping is pure and stable (changing it would
   orphan every artifact ever stored);
-* opening a legacy flat-layout store migrates every artifact into the
-  sharded layout losslessly;
+* the shard tree is the whole index: puts never walk it without a
+  budget (and scan once with one), and ``stat``-based recency
+  survives a process boundary;
 * ``gc()`` enforces the byte budget without over-evicting and never
   evicts an entry while a reader holds it pinned.
 """
 
 from __future__ import annotations
 
-import json
 import random
 import string
 
@@ -32,7 +32,6 @@ from repro.engine import (
     kernel_trace_key,
     shard_of,
 )
-from repro.engine.store import _save_outcome
 from repro.ir import TraceBuilder
 from repro.ir.trace import Trace
 
@@ -112,64 +111,108 @@ class TestShardMappingProperties:
         assert len(shards) > 64
 
 
-class TestMigrationProperties:
-    @pytest.mark.parametrize("seed", [5, 17])
-    def test_flat_store_migration_is_lossless(self, seed, tmp_path):
-        """Every artifact of a randomized legacy store — traces at the
-        root, results flat under results/ — survives first-open
-        migration byte-exactly and nothing is left behind."""
-        rng = random.Random(seed)
-        traces = {random_key(rng): random_trace(rng) for _ in range(8)}
+def _outcomes(n: int):
+    """``n`` distinct (ResultKey, outcome) pairs over one small trace."""
+    trace = random_trace(random.Random(n))
+    tkey = TraceKey.make("fill", n=n)
+    pairs = []
+    for pes in range(1, n + 1):
+        scenario = Scenario(config=MachineConfig(n_pes=pes, page_size=16))
+        pairs.append(
+            (ResultKey.make(tkey, scenario), evaluate_scenario(trace, scenario))
+        )
+    return pairs
+
+
+class TestIndexFreeContract:
+    """The filesystem is the index: puts are O(1) and recency is
+    ``stat``, so it needs no flush and survives process boundaries."""
+
+    @pytest.fixture()
+    def scans(self, monkeypatch):
+        calls = []
+        original = TraceStore._scan
+
+        def spy(store):
+            calls.append(store.root)
+            return original(store)
+
+        monkeypatch.setattr(TraceStore, "_scan", spy)
+        return calls
+
+    def test_unbudgeted_puts_never_scan(self, tmp_path, scans):
+        store = TraceStore(tmp_path)
+        pairs = _outcomes(12)
+        for key, outcome in pairs:
+            store.put_result(key, outcome)
+        assert scans == []
+        assert store.n_results() == len(pairs)  # the walk itself works
+
+    def test_budgeted_puts_scan_once(self, tmp_path, scans):
+        store = TraceStore(tmp_path, max_bytes=10**9)
+        pairs = _outcomes(12)
+        for key, outcome in pairs:
+            store.put_result(key, outcome)
+        # One scan seeds the running byte total; every later put adds
+        # to it without walking the shard tree.
+        assert len(scans) == 1
+        assert store._bytes == store.total_bytes()
+
+    def test_auto_gc_holds_the_budget_across_puts(self, tmp_path):
+        pairs = _outcomes(12)
+        probe = TraceStore(tmp_path / "probe")
+        probe.put_result(*pairs[0])
+        one = probe.total_bytes()
+        store = TraceStore(tmp_path / "store", max_bytes=3 * one)
+        for key, outcome in pairs:
+            store.put_result(key, outcome)
+            assert store.total_bytes() <= store.max_bytes
+        assert store.result_counters.evictions >= len(pairs) - 4
+        # The newest puts survive: LRU evicted the oldest first.
+        assert store.result_path_for(pairs[-1][0]).is_file()
+        assert not store.result_path_for(pairs[0][0]).is_file()
+
+    def test_lru_recency_survives_a_process_boundary(self, tmp_path):
+        """Touch a result through store A; GC from a fresh store on the
+        same root (what another process sees) evicts an untouched
+        result first."""
+        a = TraceStore(tmp_path)
+        (first, first_out), (second, second_out) = _outcomes(2)
+        a.put_result(first, first_out)
+        a.put_result(second, second_out)
+        a.clear_memory()
+        assert a.lookup_result(first) is not None  # disk hit re-stamps
+        fresh = TraceStore(tmp_path)
+        report = fresh.gc(max_bytes=fresh.total_bytes() - 1)
+        assert [ref for _k, ref, _b in report.evicted] == [second.ref]
+        assert fresh.lookup_result(first, count=False) is not None
+
+    def test_vanished_result_is_a_miss(self, tmp_path):
+        store = TraceStore(tmp_path)
+        ((key, outcome),) = _outcomes(1)
+        store.put_result(key, outcome)
+        store.clear_memory()
+        store.result_path_for(key).unlink()
+        assert store.lookup_result(key) is None
+        assert store.result_counters.misses == 1
+
+
+class TestLegacyFlatLayout:
+    def test_flat_layout_is_ignored_and_rebuilt(self, tmp_path):
+        """A legacy flat-layout root is only a cache: its files are not
+        counted, GC never sees them, and every entry is rebuilt at its
+        canonical shard path on first use."""
+        rng = random.Random(5)
+        traces = {random_key(rng): random_trace(rng) for _ in range(4)}
         for key, trace in traces.items():
             trace.save(tmp_path / key.filename)  # legacy flat layout
-
-        base = kernel_trace_cached(
-            "first_diff", n=64, store=TraceStore(tmp_path / "scratch")
-        )
-        tkey = kernel_trace_key("first_diff", n=64)
-        outcomes = {}
-        for _ in range(4):
-            scenario = Scenario(
-                config=MachineConfig(
-                    n_pes=rng.choice([1, 2, 4]),
-                    page_size=rng.choice([16, 32]),
-                    cache_elems=rng.choice([0, 64]),
-                )
-            )
-            rkey = ResultKey.make(tkey, scenario)
-            outcome = evaluate_scenario(base, scenario)
-            _save_outcome(tmp_path / "results" / rkey.filename, outcome)
-            outcomes[rkey] = outcome
-
-        store = TraceStore(tmp_path)  # first open migrates
-
-        def explode():
-            raise AssertionError("migration must be lossless")
-
+        store = TraceStore(tmp_path)
+        assert len(store) == 0 and store.total_bytes() == 0
         for key, trace in traces.items():
-            assert store.get(key, explode).identical(trace)
+            assert store.get(key, lambda t=trace: t).identical(trace)
             assert store.path_for(key).is_file()
-        for rkey, outcome in outcomes.items():
-            loaded = store.lookup_result(rkey)
-            assert loaded is not None and loaded.identical(outcome)
-        # Nothing flat remains; every artifact is sharded and indexed.
-        assert not list(tmp_path.glob("*.npz"))
-        assert not [
-            p for p in (tmp_path / "results").iterdir() if p.is_file()
-        ]
+        assert store.counters.misses == len(traces)
         assert len(store) == len(traces)
-        assert store.n_results() == len(outcomes)
-        data = json.loads((tmp_path / "index.json").read_text())
-        assert len(data["entries"]) == len(traces) + len(outcomes)
-
-    def test_migration_is_idempotent(self, tmp_path):
-        trace = random_trace(random.Random(1))
-        key = TraceKey.make("idem", n=1)
-        trace.save(tmp_path / key.filename)
-        TraceStore(tmp_path)  # migrates
-        again = TraceStore(tmp_path)  # re-open: nothing more to move
-        assert again.load(key) is not None
-        assert len(again) == 1
 
 
 class TestGCPinProperties:

@@ -4,8 +4,8 @@ Two in-flight *streamed* campaigns — driven from separate threads,
 each fanning its jobs out through the multiprocessing executor — hit
 one store at once.  The store's contracts under that load:
 
-* the on-disk index stays parseable (atomic rename, single writer per
-  process, workers confined to write-ahead touch files);
+* every artifact lands at its canonical shard path (atomic rename,
+  pool workers confined to their own access logs);
 * no cache entry is ever double-built — overlapping points are claimed
   by whichever campaign gets there first and *replayed* by the other;
 * the 8-way-parallel → ``gc()`` → identical-re-run acceptance cycle:
@@ -19,7 +19,6 @@ set ``REPRO_STRESS_STORE`` to relocate the stores these tests create
 
 from __future__ import annotations
 
-import json
 import os
 import shutil
 import threading
@@ -103,8 +102,8 @@ class TestConcurrentCampaigns:
         self, stress_root, stress_dir
     ):
         """The satellite contract: threads + the multiprocessing
-        executor against one store — the index stays parseable and no
-        cache entry is double-built."""
+        executor against one store — every artifact lands at its
+        canonical path and no cache entry is double-built."""
         store = TraceStore(stress_root)
         specs = {"a": spec_a(), "b": spec_b()}
         expected = unique_points(*specs.values())
@@ -143,13 +142,14 @@ class TestConcurrentCampaigns:
         assert evaluation_count() - before == len(expected)
         assert store.n_results() == len(expected)
 
-        # The index survived two concurrent campaigns: parseable, and
-        # every entry's artifact exists where the index says it does.
-        index_path = store.index_path
-        data = json.loads(index_path.read_text())
-        assert data["index_format"] == 1
-        for entry in data["entries"].values():
-            assert (store.root / entry["path"]).is_file()
+        # The shard tree survived two concurrent campaigns: every
+        # unique point's artifact sits at its canonical path, and the
+        # stats count exactly those (one trace, no stray files).
+        for key in expected:
+            assert store.result_path_for(key).is_file()
+        stats = store.stats()
+        assert stats["result_entries"] == len(expected)
+        assert stats["trace_entries"] == 1
 
         # Both campaigns match their isolated serial baselines.
         for name, spec in specs.items():

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -249,59 +250,64 @@ class TestAcquisitionPath:
         kernel_trace_cached("first_diff", n=32, store=store)
         key = kernel_trace_key("first_diff", n=32)
         # Sharded layout: the artifact sits in its two-hex-char prefix
-        # directory under traces/, next to the index — nothing else.
+        # directory under traces/ (next to the build lease directory)
+        # — no index file, no flat-layout artifacts.
         path = store.path_for(key)
         assert path.is_file()
         assert path.parent.name == shard_of(key.digest)
         assert path.parent.parent == root / "traces"
-        assert (root / "index.json").is_file()
-        assert not list(root.glob("*.npz"))  # no flat-layout artifacts
+        assert {p.name for p in root.iterdir()} <= {"traces", "leases"}
 
 
 class TestShardedIndex:
-    def test_index_is_versioned_json_with_entry_metadata(self, tmp_path):
+    """The shard tree is the index: path and ``stat`` are the record."""
+
+    def test_entry_metadata_lives_in_the_filesystem(self, tmp_path):
         store = TraceStore(tmp_path)
         kernel_trace_cached("first_diff", n=32, store=store)
-        data = json.loads((tmp_path / "index.json").read_text())
-        assert data["index_format"] == 1
         key = kernel_trace_key("first_diff", n=32)
-        entry = data["entries"][key.ref]
-        assert entry["kind"] == "trace"
-        assert entry["path"].startswith(f"traces/{shard_of(key.digest)}/")
-        assert entry["bytes"] == store.path_for(key).stat().st_size
-        assert entry["atime"] > 0
-        assert entry["ctime"] > 0
+        path = store.path_for(key)
+        st = path.stat()
+        # A put stamps creation and first use from one clock.
+        assert st.st_atime_ns == st.st_mtime_ns > 0
+        stats = store.stats()
+        assert stats["trace_entries"] == 1
+        assert stats["trace_bytes"] == stats["total_bytes"] == st.st_size
+        assert stats["shards"] == 1
+        assert not (tmp_path / "index.json").exists()
 
     def test_corrupted_index_is_rebuilt_from_shards(self, tmp_path):
+        """A leftover (here: torn) ``index.json`` from an older layout
+        is never read: the entries come from the shards."""
         store = TraceStore(tmp_path)
         trace = kernel_trace_cached("first_diff", n=32, store=store)
         (tmp_path / "index.json").write_text("{ not json at all")
         fresh = TraceStore(tmp_path)
-        assert len(fresh) == 1  # recovered by scanning the shards
+        assert len(fresh) == 1
 
         def explode():
             raise AssertionError("recovered store must not rebuild")
 
         key = kernel_trace_key("first_diff", n=32)
         assert fresh.get(key, explode).identical(trace)
-        # And the rebuilt index is valid JSON again.
-        data = json.loads((tmp_path / "index.json").read_text())
-        assert key.ref in data["entries"]
+        assert fresh.total_bytes() == store.path_for(key).stat().st_size
 
     def test_unindexed_file_at_canonical_path_is_adopted(self, tmp_path):
-        """Crash between artifact write and index flush: the file is
-        addressable and gets re-indexed on first lookup."""
-        store = TraceStore(tmp_path)
-        trace = kernel_trace_cached("first_diff", n=32, store=store)
+        """A file that reached its canonical path by any route (a
+        crash right after the rename, a hand copy) is addressable and
+        counted at once — there is no bookkeeping step to miss."""
+        trace = kernel_trace_cached(
+            "first_diff", n=32, store=TraceStore(tmp_path / "a")
+        )
         key = kernel_trace_key("first_diff", n=32)
-        data = json.loads((tmp_path / "index.json").read_text())
-        del data["entries"][key.ref]
-        (tmp_path / "index.json").write_text(json.dumps(data))
-        fresh = TraceStore(tmp_path)
-        assert fresh.load(key) is not None
-        assert len(fresh) == 1  # adopted back into the index
+        store = TraceStore(tmp_path / "b")
+        trace.save(store.path_for(key))
+        assert len(store) == 1
+        assert store.load(key).identical(trace)
 
     def test_stale_entry_for_vanished_file_is_dropped(self, tmp_path):
+        """A file deleted behind the store's back is a miss, not an
+        error — on a fresh store and on the one that wrote it."""
         store = TraceStore(tmp_path)
         kernel_trace_cached("first_diff", n=32, store=store)
         key = kernel_trace_key("first_diff", n=32)
@@ -309,6 +315,8 @@ class TestShardedIndex:
         fresh = TraceStore(tmp_path)
         assert len(fresh) == 0
         assert fresh.load(key) is None
+        assert store.load(key) is None
+        assert store.gc(max_bytes=0).evicted == []
 
 
 def _save_as_v1(trace: Trace, path) -> None:
@@ -357,8 +365,8 @@ class TestStoreFormatV2:
         assert trace.content_digest == loaded.content_digest
 
     def test_index_rebuild_adopts_mixed_shards(self, tmp_path):
-        """A wiped index.json is rebuilt from a shard tree holding
-        both legacy v1 and compacted v2 files."""
+        """A fresh store over a shard tree holding both legacy v1 and
+        compacted v2 files counts and loads every one of them."""
         store = TraceStore(tmp_path)
         legacy_key = TraceKey.make("legacy", n=3)
         legacy = multi_array_trace()
@@ -375,7 +383,6 @@ class TestStoreFormatV2:
         assert v2_meta["format_version"] == TRACE_FORMAT_VERSION
         assert v2_meta["layout"] == "superops"
 
-        (tmp_path / "index.json").unlink()
         fresh = TraceStore(tmp_path)
         assert len(fresh) == 2
 
@@ -386,8 +393,6 @@ class TestStoreFormatV2:
         recovered = fresh.get(v2_key, explode)
         assert recovered.identical(stencil)
         assert recovered.attached_superops() is not None
-        data = json.loads((tmp_path / "index.json").read_text())
-        assert {legacy_key.ref, v2_key.ref} <= set(data["entries"])
 
     def test_compact_traces_reports_and_shrinks(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -395,6 +400,7 @@ class TestStoreFormatV2:
         trace = _stencil_trace(n=1000)
         store.put(key, trace)
         _save_as_v1(trace, store.path_for(key))  # pin the flat layout
+        os.utime(store.path_for(key), ns=(2_000_000_000, 1_000_000_000))
         bytes_flat = store.path_for(key).stat().st_size
 
         (report,) = store.compact_traces()
@@ -403,25 +409,27 @@ class TestStoreFormatV2:
         assert report["bytes_after"] < bytes_flat
         assert report["n_ops"] == 1
         assert report["coverage"] == 1.0
-        # The index tracks the rewritten byte size.
-        data = json.loads((tmp_path / "index.json").read_text())
-        assert data["entries"][key.ref]["bytes"] == report["bytes_after"]
+        # Stats see the rewritten byte size, and the rewrite kept the
+        # shard's recency and creation times (GC order is unchanged).
+        assert store.stats()["trace_bytes"] == report["bytes_after"]
+        st = store.path_for(key).stat()
+        assert (st.st_atime_ns, st.st_mtime_ns) == (2_000_000_000, 1_000_000_000)
 
 
-class TestMigration:
-    def test_flat_store_migrates_losslessly_on_first_open(self, tmp_path):
+class TestLegacyLayout:
+    def test_flat_layout_files_are_ignored(self, tmp_path):
+        """A pre-sharding root is only a cache: its flat files are
+        neither counted nor moved, and a lookup rebuilds the entry at
+        its canonical shard path."""
         trace = multi_array_trace()
         key = TraceKey.make("legacy_kernel", n=3)
         trace.save(tmp_path / key.filename)  # pre-sharding layout
         store = TraceStore(tmp_path)
-
-        def explode():
-            raise AssertionError("migrated store must not rebuild")
-
-        assert store.get(key, explode).identical(trace)
-        assert not list(tmp_path.glob("*.npz"))  # moved into its shard
+        assert len(store) == 0
+        assert store.get(key, multi_array_trace).identical(trace)
+        assert store.counters.misses == 1
         assert store.path_for(key).is_file()
-        assert store.counters.disk_hits == 1
+        assert (tmp_path / key.filename).is_file()  # left alone
 
 
 class TestEvictionGC:
@@ -455,6 +463,17 @@ class TestEvictionGC:
         # over-evict below max_bytes.
         _kind, _ref, nbytes = report.evicted[0]
         assert report.total_bytes + nbytes > budget
+
+    def test_fifo_order_ignores_later_use(self, tmp_path):
+        """FIFO evicts the oldest-created entry even when it was used
+        last (recency moves atime, never mtime)."""
+        store = TraceStore(tmp_path, policy="fifo")
+        old = kernel_trace_key("first_diff", n=32)
+        kernel_trace_cached("first_diff", n=32, store=store)
+        kernel_trace_cached("first_diff", n=64, store=store)
+        store.get(old, lambda: (_ for _ in ()).throw(AssertionError()))
+        report = store.gc(max_bytes=store.total_bytes() - 1)
+        assert [ref for _k, ref, _b in report.evicted] == [old.ref]
 
     def test_lru_order_and_policy_validation(self, tmp_path):
         with pytest.raises(ValueError, match="eviction policy"):
@@ -493,7 +512,7 @@ class TestStoreStatsCLI:
         data = json.loads(capsys.readouterr().out)
         assert data["trace_entries"] == 1
         assert data["result_entries"] == 0
-        assert data["index_format"] == 1
+        assert "index_format" not in data
         assert data["total_bytes"] > 0
         # Legacy nested keys are gone from the JSON document entirely.
         assert "traces" not in data
