@@ -20,6 +20,7 @@ from dataclasses import replace
 
 from repro.engine import (
     CampaignSpec,
+    EvalService,
     KernelSpec,
     TraceStore,
     interpretation_count,
@@ -159,11 +160,11 @@ def test_trace_store_warm(benchmark, tmp_path):
 
 #: The concurrent-campaign case: three campaigns over one kernel's
 #: trace, distinct grids so nothing dedups away, 28 points each.
-def _concurrent_specs(backend: str) -> list[CampaignSpec]:
+def _concurrent_specs() -> list[CampaignSpec]:
     return [
         CampaignSpec(
             name=f"bench-concurrent-{slot}",
-            backend=backend,
+            backend="untimed",
             kernels=(
                 KernelSpec("hydro_fragment", n=200 if fast() else 1000),
             ),
@@ -208,38 +209,34 @@ def test_engine_concurrent_campaigns_service_vs_pools(benchmark, tmp_path):
     startup (one launch instead of N) and on trace distribution (one
     resident copy per worker instead of one per pool).
     """
-    from repro.backends import configure_service, get_service, shutdown_service
-
     store = TraceStore(tmp_path / "store")
     run_campaign(  # warm the trace so neither side pays interpretation
-        _concurrent_specs("untimed")[0], store=store, parallel=False
+        _concurrent_specs()[0], store=store, parallel=False
     )
 
     forked_wall = _drive_concurrently(
-        _concurrent_specs("untimed"), store, parallel=True
+        _concurrent_specs(), store, parallel=True
     )
 
-    shutdown_service()
-    configure_service()  # default: one worker per core, one pool
+    service = EvalService()  # default: one worker per core, one pool
     try:
         service_wall = once(
             benchmark,
             lambda: _drive_concurrently(
-                _concurrent_specs("service"), store, parallel=True
+                _concurrent_specs(), store, service=service
             ),
         )
-        stats = get_service().stats()
+        stats = service.stats()
         assert stats["pool_launches_total"] <= 1
         assert stats["failed_total"] == 0
     finally:
-        shutdown_service()
-        configure_service()
+        service.close()
     benchmark.extra_info["forked_pools_wall_s"] = round(forked_wall, 3)
     benchmark.extra_info["service_wall_s"] = round(service_wall, 3)
     benchmark.extra_info["speedup_vs_forked"] = round(
         forked_wall / service_wall, 2
     )
-    points_each = _concurrent_specs("untimed")[0].n_points
+    points_each = _concurrent_specs()[0].n_points
     save(
         "engine_concurrent_service",
         f"3 concurrent campaigns ({points_each} points each), one store:\n"

@@ -1,20 +1,20 @@
 """Shared evaluation service: N concurrent campaigns, one worker pool.
 
-The ``backend="service"`` workflow end to end:
+An :class:`~repro.engine.EvalService` is an executor that campaigns
+are handed (``run_campaign(spec, service=svc)``), end to end:
 
-1. configure the process-wide :class:`~repro.backends.EvalService`
-   (pool size, queue bound, delegate backend);
-2. launch three campaigns *concurrently* — each would historically
-   have forked its own multiprocessing pool; through the service they
-   submit into one bounded queue served by one resident pool;
-3. read the service's stats: one ``pool_launches_total``, every submission
-   completed, the queue's high-water mark;
+1. build one service (pool size, queue bound);
+2. launch three campaigns *concurrently* through it — each would
+   otherwise fork its own multiprocessing pool; through the service
+   they submit into one bounded queue served by one resident pool;
+3. read the service's stats: one ``pool_launches_total``, every
+   submission completed, the queue's high-water mark;
 4. run an overlapping campaign — points another campaign already
    built replay from the store's result cache (claims and, across
    independent processes, lock-file leases guarantee every entry is
    built exactly once — see ``docs/architecture.md``);
-5. switch the delegate to the timed machine and sweep its axes
-   through the very same service.
+5. send a timed spec through the very same service: each job runs on
+   the backend its spec declares, so the timed machine's axes apply.
 
 Run:  python examples/service_campaigns.py
 """
@@ -22,20 +22,20 @@ Run:  python examples/service_campaigns.py
 import tempfile
 import threading
 
-from repro.backends import (
-    configure_service,
-    evaluation_count,
-    get_service,
-    shutdown_service,
-)
+from repro.backends import evaluation_count
 from repro.bench import render_table
-from repro.engine import CampaignSpec, KernelSpec, TraceStore, run_campaign
+from repro.engine import (
+    CampaignSpec,
+    EvalService,
+    KernelSpec,
+    TraceStore,
+    run_campaign,
+)
 
 
 def spec(slot: int) -> CampaignSpec:
     return CampaignSpec(
         name=f"svc-demo-{slot}",
-        backend="service",
         kernels=(KernelSpec("first_diff", n=200),),
         pes=(1, 2, 4, 8),
         page_sizes=(32,),
@@ -46,70 +46,69 @@ def spec(slot: int) -> CampaignSpec:
 def main() -> None:
     store = TraceStore(tempfile.mkdtemp(prefix="repro-service-"))
 
-    # 1. One resident pool for the whole process (re-configurable).
-    shutdown_service()
-    configure_service(workers=2, queue_size=32, delegate="untimed")
+    # 1. One resident pool, shared by every campaign handed to it.
+    service = EvalService(workers=2, queue_size=32)
+    try:
+        # 2. Three campaigns at once — no per-campaign pool forks.
+        results: dict[int, object] = {}
 
-    # 2. Three campaigns at once — no per-campaign pool forks.
-    results: dict[int, object] = {}
+        def drive(slot: int) -> None:
+            results[slot] = run_campaign(
+                spec(slot), store=store, service=service
+            )
 
-    def drive(slot: int) -> None:
-        results[slot] = run_campaign(spec(slot), store=store, parallel=True)
+        threads = [
+            threading.Thread(target=drive, args=(slot,)) for slot in range(3)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for slot in sorted(results):
+            print(
+                f"campaign {slot}: {len(results[slot])} points "
+                f"via {results[slot].executor}"
+            )
 
-    threads = [
-        threading.Thread(target=drive, args=(slot,)) for slot in range(3)
-    ]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    for slot in sorted(results):
+        # 3. What the sharing did.
+        stats = service.stats()
+        print()
         print(
-            f"campaign {slot}: {len(results[slot])} points "
-            f"via {results[slot].executor}"
+            render_table(
+                ["field", "value"],
+                [[key, stats[key]] for key in sorted(stats)],
+                title="service stats after 3 concurrent campaigns",
+            )
+        )
+        assert stats["pool_launches_total"] <= 1  # ONE pool served all
+
+        # 4. An overlapping campaign: shared points come from the cache.
+        before = evaluation_count()
+        overlap = run_campaign(spec(0), store=store, service=service)
+        print(
+            f"\noverlapping re-run: executor {overlap.executor!r}, "
+            f"{evaluation_count() - before} new evaluations"
         )
 
-    # 3. What the sharing did.
-    stats = get_service().stats()
-    print()
-    print(
-        render_table(
-            ["field", "value"],
-            [[key, stats[key]] for key in sorted(stats)],
-            title="service stats after 3 concurrent campaigns",
+        # 5. A timed spec through the same service: its own physics.
+        timed = CampaignSpec(
+            name="svc-demo-timed",
+            backend="timed",
+            kernels=(KernelSpec("first_diff", n=200),),
+            pes=(2, 4),
+            page_sizes=(32,),
+            cache_elems=(64,),
+            topologies=("mesh", "torus"),  # the timed backend's axes
         )
-    )
-    assert stats["pool_launches_total"] <= 1  # ONE pool served everything
-
-    # 4. An overlapping campaign: shared points come from the cache.
-    before = evaluation_count()
-    overlap = run_campaign(spec(0), store=store, parallel=True)
-    print(
-        f"\noverlapping re-run: executor {overlap.executor!r}, "
-        f"{evaluation_count() - before} new evaluations"
-    )
-
-    # 5. The same service, now delegating to the timed machine.
-    shutdown_service()
-    configure_service(workers=2, delegate="timed")
-    timed = CampaignSpec(
-        name="svc-demo-timed",
-        backend="service",
-        kernels=(KernelSpec("first_diff", n=200),),
-        pes=(2, 4),
-        page_sizes=(32,),
-        cache_elems=(64,),
-        topologies=("mesh", "torus"),  # the delegate's axes apply
-    )
-    result = run_campaign(timed, store=store, parallel=True)
-    record = result.records[0]
-    print(
-        f"\ntimed-over-service: {len(result)} points, e.g. "
-        f"{record.scenario.label()} -> speedup {record.metrics['speedup']:.2f}"
-    )
-
-    shutdown_service()
-    configure_service()  # back to the defaults
+        result = run_campaign(timed, store=store, service=service)
+        record = result.records[0]
+        print(
+            f"\ntimed through the service: {len(result)} points, e.g. "
+            f"{record.scenario.label()} -> speedup "
+            f"{record.metrics['speedup']:.2f}"
+        )
+    finally:
+        service.close()
 
 
 if __name__ == "__main__":

@@ -15,11 +15,10 @@ The package provides:
 * :mod:`repro.machine` — a timed discrete-event machine model with
   network topologies (the paper's §9 future-work simulation);
 * :mod:`repro.backends` — the evaluation API: a frozen ``Scenario``
-  type, the ``EvalBackend`` protocol and registry, and the three
-  built-in backends ("untimed" wraps the §6 simulator, "timed" wraps
-  the discrete-event machine, "service" dispatches either through a
-  shared long-lived worker pool) so every evaluator is sweepable
-  through one contract;
+  type, the ``EvalBackend`` protocol and registry, and the built-in
+  backends ("untimed" and its columnar twin "untimed-vec" wrap the §6
+  simulator, "timed" wraps the discrete-event machine) so every
+  evaluator is sweepable through one contract;
 * :mod:`repro.hostproto` — the §5 host-processor re-initialisation
   protocol;
 * :mod:`repro.kernels` — Livermore Loops workloads (IR + NumPy
@@ -29,8 +28,9 @@ The package provides:
   per machine, ever) *and* results (identical campaigns replay from
   cache), declarative campaign specs with backend axes (Python or
   JSON), a process-parallel executor dispatching through the backend
-  registry with deterministic ordering and streaming progress, and
-  backend-tagged typed results with JSON export;
+  registry with deterministic ordering and streaming progress, an
+  evaluation service (one resident pool that concurrent campaigns
+  share), and backend-tagged typed results with JSON export;
 * :mod:`repro.bench` — sweeps, figure and table generators (running
   on :mod:`repro.engine`).
 

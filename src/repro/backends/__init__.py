@@ -2,10 +2,8 @@
 
 The system has two ways to evaluate a trace under a machine scenario:
 the paper's untimed trace-driven simulator (§6-§7) and the timed
-discrete-event machine it sketches as future work (§9) — plus a third,
-*scheduling* backend that dispatches either of them through a shared
-long-lived worker pool.  This package puts all of them — and any
-backend a user registers — behind one contract:
+discrete-event machine it sketches as future work (§9).  This package
+puts both — and any backend a user registers — behind one contract:
 
 * :class:`~repro.backends.base.Scenario` — the frozen identity of an
   evaluation point (machine configuration + topology, cost-model
@@ -20,21 +18,18 @@ backend a user registers — behind one contract:
 * :func:`~repro.backends.base.evaluate_scenario` — the single counted
   evaluation path (mirrors the trace store's interpretation counter).
 
-Importing this package registers the four built-ins: ``"untimed"``
+Importing this package registers the three built-ins: ``"untimed"``
 (:class:`~repro.backends.untimed.UntimedBackend`), ``"untimed-vec"``
 (:class:`~repro.backends.untimed_vec.UntimedVecBackend` — the columnar
 replay engine and the *default* backend, bit-identical to
-``"untimed"`` and held to it by the generative fidelity harness),
-``"timed"``
-(:class:`~repro.backends.timed.TimedBackend`) and ``"service"``
-(:class:`~repro.backends.service.ServiceBackend` — evaluations via the
-process-wide :class:`~repro.backends.service.EvalService`, a resident
-worker pool with a bounded queue that N concurrent campaigns share
-instead of forking a pool each; configure with
-:func:`~repro.backends.service.configure_service`).  The support
-matrix — which backend consumes which scenario knob — is documented
-in ``docs/backends.md``; unsupported combinations raise
-:class:`~repro.backends.base.UnsupportedScenarioError`.
+``"untimed"`` and held to it by the generative fidelity harness) and
+``"timed"`` (:class:`~repro.backends.timed.TimedBackend`).  A backend
+is physics only; scheduling — serial, a forked pool, or one resident
+pool shared by concurrent campaigns
+(:class:`~repro.engine.service.EvalService`) — belongs to the engine's
+executor.  The support matrix — which backend consumes which scenario
+knob — is documented in ``docs/backends.md``; unsupported
+combinations raise :class:`~repro.backends.base.UnsupportedScenarioError`.
 
 Quickstart::
 
@@ -69,13 +64,6 @@ from .base import (
     record_evaluations,
     register_backend,
 )
-from .service import (
-    EvalService,
-    ServiceBackend,
-    configure_service,
-    get_service,
-    shutdown_service,
-)
 from .timed import TimedBackend
 from .untimed import UntimedBackend
 from .untimed_vec import UntimedVecBackend
@@ -85,22 +73,17 @@ __all__ = [
     "MODES",
     "EvalBackend",
     "EvalOutcome",
-    "EvalService",
     "Scenario",
-    "ServiceBackend",
     "TimedBackend",
     "UnsupportedScenarioError",
     "UntimedBackend",
     "UntimedVecBackend",
     "backend_names",
-    "configure_service",
     "cost_model",
     "cost_model_names",
     "evaluate_scenario",
     "evaluation_count",
     "get_backend",
-    "get_service",
     "record_evaluations",
     "register_backend",
-    "shutdown_service",
 ]

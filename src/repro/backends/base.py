@@ -176,10 +176,9 @@ class Scenario:
     """One evaluation point: a machine configuration + backend knobs.
 
     The untimed backend reads only ``config``; the timed backend reads
-    all fields; the service backend reads whatever its delegate reads.
-    Fields the chosen backend does not consume should sit at their
-    defaults so a scenario's canonical form (and therefore its cache
-    key) is identical however it was built —
+    all fields.  Fields the chosen backend does not consume should sit
+    at their defaults so a scenario's canonical form (and therefore its
+    cache key) is identical however it was built —
     :class:`~repro.engine.campaign.CampaignSpec` enforces this for
     every engine-built scenario.  ``backend`` is part of the canonical
     form, so the same machine point evaluated under two backends has
@@ -356,20 +355,18 @@ class EvalBackend(Protocol):
     ``metrics`` dict carries; ``table_metrics`` is the subset worth a
     column in the CLI's record tables.
 
-    Two optional extensions refine the engine's behaviour:
-
-    * ``supported_reductions`` — a tuple of reduction-strategy names,
-      declared when the backend wants strategy-level validation (both
-      built-in evaluators now model ``"host"`` and ``"subrange"``);
-      campaign specs sweeping an undeclared strategy are rejected at
-      construction instead of mid-run, and ``evaluate`` raises
-      :class:`UnsupportedScenarioError` for hand-built scenarios that
-      bypass the validator (full matrix in ``docs/backends.md``);
-    * ``dispatch_jobs(jobs, traces, touch, trace_paths)`` — declared
-      by *dispatching* backends (the shared evaluation service): the
-      campaign executor hands such a backend its whole job list to
-      keep in flight at once, instead of forking a worker pool around
-      per-point ``evaluate`` calls.
+    One optional extension refines the engine's behaviour:
+    ``supported_reductions`` — a tuple of reduction-strategy names,
+    declared when the backend wants strategy-level validation (both
+    built-in evaluators now model ``"host"`` and ``"subrange"``);
+    campaign specs sweeping an undeclared strategy are rejected at
+    construction instead of mid-run, and ``evaluate`` raises
+    :class:`UnsupportedScenarioError` for hand-built scenarios that
+    bypass the validator (full matrix in ``docs/backends.md``).
+    A backend is physics only: *how* jobs are scheduled (serially, on
+    a forked pool, or on a shared
+    :class:`~repro.engine.service.EvalService`) is the executor's
+    business.
     """
 
     name: str
@@ -403,25 +400,6 @@ def get_backend(name: str) -> EvalBackend:
 
 def backend_names() -> tuple[str, ...]:
     return tuple(sorted(_REGISTRY))
-
-
-def cache_identity_of(name: str) -> str:
-    """The namespace a backend's results are cached/claimed under.
-
-    Usually the backend name itself; a dispatching backend refines it
-    (the service reports ``"service:<delegate>"`` so cached physics
-    never survives a delegate switch).  Unregistered names fall back
-    to themselves, keeping keys computable for results that outlive
-    their backend registration.  The single definition both
-    :meth:`repro.engine.store.ResultKey.make` and the campaign
-    stream's identity-drift guard resolve through — they must always
-    agree.
-    """
-    try:
-        backend = get_backend(name)
-    except KeyError:
-        return name
-    return getattr(backend, "cache_identity", name)
 
 
 # ---------------------------------------------------------------------------

@@ -27,10 +27,10 @@ streaming progress line.  The ``store`` subcommand administers the
 sharded on-disk store: ``stats`` reports entry/byte counts per kind
 plus hit/miss/eviction counters, ``gc`` evicts least-recently-used
 entries (results before traces) down to a byte budget.  The ``serve``
-subcommand runs several campaigns *concurrently* against one
-long-lived evaluation service (``backend="service"``): a single
-resident worker pool with a bounded job queue serves every campaign —
-instead of one forked pool each — and a stats table shows what the
+subcommand runs several campaigns *concurrently* over one evaluation
+service: a single resident worker pool with a bounded job queue
+executes every campaign — instead of one forked pool each — each on
+the backend its spec declares, and a stats table shows what the
 sharing did (jobs, dedup hits, queue high-water).
 """
 
@@ -331,9 +331,7 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
     coordinator = FleetCoordinator(
         max_attempts=args.max_attempts, max_campaigns=args.max_campaigns
     )
-    server = FleetServer(
-        coordinator, host=host, port=port, delegate=args.delegate
-    )
+    server = FleetServer(coordinator, host=host, port=port)
 
     async def main() -> None:
         await server.start()
@@ -341,7 +339,7 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
         # stdout in a stable, parseable form before any campaign work.
         print(f"fleet: listening on {host}:{server.port}", flush=True)
         for path in args.campaign or ():
-            spec = server._normalise(CampaignSpec.load(path))
+            spec = CampaignSpec.load(path)
             accepted = coordinator.submit(spec)
             print(
                 f"fleet: admitted campaign {spec.name!r} "
@@ -361,12 +359,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     """Run N campaigns concurrently over one shared evaluation service."""
     import json as _json
     import threading
-    from dataclasses import replace
     from pathlib import Path
 
-    from .backends import configure_service, get_service
     from .bench import render_table
-    from .engine import CampaignSpec, run_campaign
+    from .engine import CampaignSpec, EvalService, run_campaign
 
     if args.listen:
         return _cmd_serve_listen(args)
@@ -377,38 +373,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
         return 2
-    configure_service(
-        workers=args.workers,
-        queue_size=args.queue_size,
-        delegate=args.delegate,
-    )
-    specs = []
-    for path in args.campaign:
-        spec = CampaignSpec.load(path)
-        if spec.backend not in ("service", args.delegate):
-            # Never switch a campaign's physics silently: a spec that
-            # names a concrete backend is only routed through the
-            # service when the service delegates to that very backend.
-            raise ValueError(
-                f"campaign {spec.name!r} declares backend "
-                f"{spec.backend!r} but the service evaluates with "
-                f"--delegate {args.delegate!r}; pass --delegate "
-                f"{spec.backend!r} (or set the spec's backend to "
-                f"'service')"
-            )
-        if spec.backend != "service":
-            # The point of `serve` is the shared pool: route the
-            # campaign through the service backend (validation rejects
-            # specs whose axes the configured delegate cannot model).
-            spec = replace(spec, backend="service")
-        specs.append(spec)
+    specs = [CampaignSpec.load(path) for path in args.campaign]
     results: dict[int, object] = {}
     errors: list[tuple[str, BaseException]] = []
+    service = EvalService(workers=args.workers, queue_size=args.queue_size)
 
     def drive(slot: int, spec: CampaignSpec) -> None:
         try:
             results[slot] = run_campaign(
-                spec, parallel=True, use_cache=not args.no_cache
+                spec, service=service, use_cache=not args.no_cache
             )
         except BaseException as exc:  # noqa: BLE001 - reported below
             errors.append((spec.name, exc))
@@ -422,11 +395,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     # line instead of appending to a half-drawn progress line.
     from . import obs
 
-    with obs.ProgressLine():
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+    try:
+        with obs.ProgressLine():
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        stats = service.stats()
+    finally:
+        service.close()
     for name, exc in errors:
         print(f"error in campaign {name!r}: {exc}", file=sys.stderr)
     if errors:
@@ -447,7 +424,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             title=f"{len(specs)} campaigns over one evaluation service",
         )
     )
-    stats = get_service().stats()
     print()
     print(
         render_table(
@@ -738,10 +714,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument(
         "--backend",
         default="untimed-vec",
-        help=(
-            "evaluation backend (untimed-vec [default], untimed, timed, "
-            "service)"
-        ),
+        help="evaluation backend (untimed-vec [default], untimed, timed)",
     )
     swp.add_argument(
         "--pes", nargs="+", type=int, default=[1, 4, 8, 16, 32, 64]
@@ -917,14 +890,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=128,
         help="bound on the service's admission queue",
-    )
-    serve.add_argument(
-        "--delegate",
-        default="untimed-vec",
-        help=(
-            "backend the service evaluates with "
-            "(untimed-vec [default], untimed, timed)"
-        ),
     )
     serve.add_argument(
         "--no-cache",

@@ -17,9 +17,13 @@ paper's trace-once / sweep-many structure at scale:
   dispatches through the backend registry, with copy-on-write trace
   sharing, deterministic result ordering, a serial fallback, and
   streaming (:class:`~repro.engine.executor.CampaignStream`) for
-  progress on long sweeps; campaigns with ``backend="service"``
-  submit their whole grid to the process-wide resident worker pool
-  (:mod:`repro.backends.service`) instead of forking one;
+  progress on long sweeps;
+* :mod:`~repro.engine.service` — :class:`~repro.engine.service.EvalService`,
+  one resident worker pool with a bounded, round-robin job queue:
+  every campaign handed the same service
+  (``run_campaign(spec, service=svc)``) submits its grid there instead
+  of forking a pool of its own, and each job still runs on the backend
+  its spec declares;
 * :mod:`~repro.engine.results` — backend-tagged typed records with
   bit-exact comparison and JSON export.
 
@@ -91,6 +95,7 @@ from .campaign import (
 )
 from .executor import CampaignStream, default_workers, run_campaign, run_grid
 from .results import CampaignResult, EvalRecord
+from .service import EvalService
 from .store import (
     LEASE_TTL_S,
     RESULT_FORMAT_VERSION,
@@ -122,6 +127,7 @@ __all__ = [
     "CampaignSpec",
     "CampaignStream",
     "EvalRecord",
+    "EvalService",
     "GCReport",
     "KernelSpec",
     "ResultKey",

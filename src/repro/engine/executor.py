@@ -58,10 +58,10 @@ import time
 import uuid
 import warnings
 from itertools import count
-from typing import Callable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .. import obs
-from ..backends import EvalOutcome, Scenario, evaluate_scenario, get_backend
+from ..backends import EvalOutcome, Scenario, evaluate_scenario
 from ..backends.base import record_evaluations
 from ..core.simulator import MachineConfig
 from ..ir.trace import Trace
@@ -74,6 +74,9 @@ from .store import (
     default_store,
     kernel_trace_key,
 )
+
+if TYPE_CHECKING:
+    from .service import EvalService
 
 __all__ = ["CampaignStream", "default_workers", "run_campaign", "run_grid"]
 
@@ -178,8 +181,9 @@ class _JobRunner:
     Nothing happens at construction beyond deciding the plan, so a
     runner that is never iterated starts no processes and leaks
     nothing.  ``description`` reports how the jobs actually ran
-    ("serial", "parallel[N]", or "serial-fallback" if the pool could
-    not be created) and is final once iteration has begun.
+    ("serial", "parallel[N]", "serial-fallback" if the pool could not
+    be created, or the service's tag when one was handed in) and is
+    final once iteration has begun.
     """
 
     def __init__(
@@ -191,63 +195,24 @@ class _JobRunner:
         touch: tuple[str, str] | None = None,
         trace_paths: dict[str, str] | None = None,
         used: Callable[[str], None] | None = None,
+        service: EvalService | None = None,
     ) -> None:
         self._jobs = jobs
         self._traces = traces
         self._touch = touch
-        self._trace_paths = trace_paths or {}
+        self._trace_paths = trace_paths
         #: serial jobs report each use of a store-backed trace (by
         #: label) straight to the store
         self._used = used
-        # A dispatching backend (the shared evaluation service) takes
-        # whole job lists instead of having a pool forked around it:
-        # submitting through it is what lets N concurrent campaigns
-        # share one resident worker pool.  Dispatch applies only to a
-        # *homogeneous* job list — a dispatcher evaluates with one
-        # delegate, so handing it a mixed grid would silently swap
-        # physics, and sending service jobs into forked pool workers
-        # would spawn a nested service per worker.  Campaigns are
-        # homogeneous by construction; a mixed parallel run_grid must
-        # split (serially, mixed grids dispatch per scenario).
-        self._dispatcher = None
-        if jobs:
-            backends = {scenario.backend for _i, _l, _r, scenario in jobs}
-            dispatching = {
-                name
-                for name in backends
-                if hasattr(get_backend(name), "dispatch_jobs")
-            }
-            if dispatching and len(backends) > 1:
-                if parallel:
-                    raise ValueError(
-                        f"cannot mix dispatching backend(s) "
-                        f"{sorted(dispatching)} with other backends "
-                        f"{sorted(backends - dispatching)} in one "
-                        "parallel grid; run them as separate grids "
-                        "(or serially)"
-                    )
-            elif dispatching:
-                self._dispatcher = get_backend(next(iter(backends)))
-        #: dispatch the whole list at once (parallel) vs one job at a
-        #: time (serial pacing, but still through the resident pool so
-        #: traces ship by path instead of being pickled per job)
-        self._bulk_dispatch = parallel and self._dispatcher is not None
-        self._parallel = (
-            parallel and len(jobs) >= 2 and self._dispatcher is None
-        )
+        self._service = service
+        self._parallel = service is None and parallel and len(jobs) >= 2
         self._workers = (
             min(workers or default_workers(), len(jobs))
             if self._parallel
             else 0
         )
-        if self._bulk_dispatch:
-            # dispatch_label is optional on the dispatching-backend
-            # extension; fall back to a generic tag for custom
-            # backends that only implement dispatch_jobs.
-            label = getattr(self._dispatcher, "dispatch_label", None)
-            self.description = (
-                label() if label else f"dispatch[{self._dispatcher.name}]"
-            )
+        if service is not None:
+            self.description = service.description
         else:
             self.description = (
                 f"parallel[{self._workers}]" if self._parallel else "serial"
@@ -263,44 +228,11 @@ class _JobRunner:
                 self._used(label)
             yield index, outcome, wall
 
-    @staticmethod
-    def _with_wall(
-        items: Iterator[tuple],
-    ) -> Iterator[tuple[int, EvalOutcome, float]]:
-        """Normalise dispatcher output: old-style (index, outcome)
-        pairs from custom dispatching backends gain ``wall=None``."""
-        for item in items:
-            if len(item) == 2:
-                index, outcome = item
-                yield index, outcome, None
-            else:
-                yield item
-
     def __iter__(self) -> Iterator[tuple[int, EvalOutcome, float]]:
-        if self._dispatcher is not None:
-            if self._bulk_dispatch:
-                yield from self._with_wall(
-                    self._dispatcher.dispatch_jobs(
-                        self._jobs,
-                        self._traces,
-                        self._touch,
-                        trace_paths=self._trace_paths,
-                    )
-                )
-            else:
-                # Serial pacing, same machinery: one job in flight at
-                # a time, but still through the dispatcher, so traces
-                # travel by artifact path and resident workers memoise
-                # them instead of unpickling the trace per point.
-                for job in self._jobs:
-                    yield from self._with_wall(
-                        self._dispatcher.dispatch_jobs(
-                            [job],
-                            self._traces,
-                            self._touch,
-                            trace_paths=self._trace_paths,
-                        )
-                    )
+        if self._service is not None:
+            yield from self._service.run_jobs(
+                self._jobs, self._traces, self._touch, self._trace_paths
+            )
             return
         if not self._parallel:
             yield from self._serial()
@@ -355,7 +287,8 @@ class CampaignStream:
     compute (so a concurrent campaign over the same store defers to
     this one instead of re-evaluating them) and plans the remaining
     jobs — traces are loaded only for kernels that actually need
-    evaluating; worker processes start on first iteration.  Iterating
+    evaluating; worker processes start (or, with a ``service``, the
+    jobs are submitted to it) on first iteration.  Iterating
     yields :class:`EvalRecord` objects in *completion* order — cache
     hits first (canonical order), then live evaluations as workers
     finish them, then points replayed from peer campaigns — each
@@ -374,6 +307,7 @@ class CampaignStream:
         parallel: bool = True,
         workers: int | None = None,
         use_cache: bool = True,
+        service: EvalService | None = None,
     ) -> None:
         from .store import kernel_trace_cached
 
@@ -407,10 +341,6 @@ class CampaignStream:
         pending: list[tuple[int, KernelSpec, Scenario]] = []
         for index, (kernel, scenario) in enumerate(self._points):
             if self._use_cache:
-                # ResultKey.make resolves the backend's *cache
-                # identity* (the service includes its delegate:
-                # "service:untimed"), so cached physics never
-                # survives a delegate switch.
                 key = ResultKey.make(trace_keys[kernel.label], scenario)
                 self._result_keys[index] = key
                 claim = self._store.try_claim_result(key)
@@ -440,11 +370,11 @@ class CampaignStream:
                     store=self._store,
                 )
                 traces[kernel.label] = trace
-                # The artifact's on-disk path lets a dispatching
-                # backend (the shared service) hand jobs to resident
-                # workers without pickling the trace per job.
+                # The artifact's on-disk path lets a service hand jobs
+                # to its resident workers without pickling the trace
+                # per job.
                 path = self._store.path_for(trace_keys[kernel.label])
-                if path.is_file():
+                if service is not None and path.is_file():
                     trace_paths[kernel.label] = str(path)
                 self.trace_meta[kernel.label] = {
                     "n_instances": trace.n_instances,
@@ -469,6 +399,7 @@ class CampaignStream:
             touch=(str(self._store.touch_dir), self._touch_tag),
             trace_paths=trace_paths,
             used=lambda label: self._store.touch(trace_keys[label]),
+            service=service,
         )
         self._iterator = self._generate()
         if obs.active():
@@ -546,14 +477,8 @@ class CampaignStream:
             self._result_keys[index], compute, waiter=waiter
         )
 
-    def _current_cache_identity(self) -> str:
-        from ..backends.base import cache_identity_of
-
-        return cache_identity_of(self.spec.backend)
-
     def _generate(self) -> Iterator[EvalRecord]:
         runner_iter = iter(self._runner)
-        identity_warned = False
         try:
             for index, outcome in self._cached:
                 record = self._record(index, outcome, cache_hit=True)
@@ -561,27 +486,7 @@ class CampaignStream:
                 yield record
             for index, outcome, wall in runner_iter:
                 if self._use_cache:
-                    key = self._result_keys[index]
-                    if key.backend == self._current_cache_identity():
-                        self._store.put_result(key, outcome)
-                    else:
-                        # The backend's cache identity drifted between
-                        # planning and execution (e.g. the service's
-                        # delegate was reconfigured mid-campaign):
-                        # caching under the planned key would file
-                        # this outcome's physics in the wrong
-                        # namespace, so drop the claim uncached.
-                        if not identity_warned:
-                            identity_warned = True
-                            warnings.warn(
-                                f"backend {self.spec.backend!r} changed "
-                                f"cache identity mid-campaign (planned "
-                                f"{key.backend!r}); results will not be "
-                                "cached",
-                                RuntimeWarning,
-                                stacklevel=2,
-                            )
-                        self._store.abandon_result_claim(key)
+                    self._store.put_result(self._result_keys[index], outcome)
                     self._owned_claims.discard(index)
                 record = self._record(index, outcome, wall_s=wall)
                 self._records.append(record)
@@ -651,16 +556,18 @@ def run_campaign(
     workers: int | None = None,
     stream: bool = False,
     use_cache: bool = True,
+    service: EvalService | None = None,
 ) -> CampaignResult | CampaignStream:
     """Execute a campaign: acquire traces once, fan scenarios out.
 
     Traces come from ``store`` (the default store when ``None``) —
     interpreted at most once per machine, then replayed from ``.npz``.
     Evaluations dispatch through the backend registry, so the same
-    call runs untimed, timed and service campaigns alike; with
-    ``backend="service"`` the parallel path submits the grid to the
-    process-wide resident worker pool (shared by every concurrent
-    campaign) instead of forking a pool of its own.  With
+    call runs untimed and timed campaigns alike.  ``service`` (an
+    :class:`~repro.engine.service.EvalService`) runs the remaining
+    jobs on that resident pool, shared by every campaign handed the
+    same service, instead of forking a pool of its own; ``parallel``
+    and ``workers`` apply only without one.  With
     ``use_cache`` (the default) previously-evaluated points replay
     from the store's result cache without simulating, and points a
     concurrent campaign has claimed — a thread of this process, or an
@@ -676,5 +583,6 @@ def run_campaign(
         parallel=parallel,
         workers=workers,
         use_cache=use_cache,
+        service=service,
     )
     return s if stream else s.result()

@@ -88,7 +88,7 @@ therefore shards::
   at most ``lease_ttl_s``.
 * **One claim protocol** — lookup → claim → re-check → deferral →
   compute → put (or abandon) is written once, in :class:`TraceStore`;
-  the executor, the fleet worker and the service call it.
+  the executor and the fleet worker call it.
 
 Files outside the shard directories (a legacy flat-layout root, a
 stale ``index.json``) are ignored: the store is a cache, so anything
@@ -304,12 +304,10 @@ class ResultKey:
 
     The trace digest already covers kernel identity, build parameters,
     trace format and package version; the scenario digest covers the
-    machine configuration and every backend knob; ``backend`` is the
-    *cache identity* — usually the backend name, but a dispatching
-    backend refines it (the service caches under
-    ``"service:<delegate>"``, so cached physics never survives a
-    delegate switch).  Everything that can change an outcome is in the
-    address, so stale hits are impossible within a package version.
+    machine configuration and every backend knob; ``backend`` names
+    the backend that computed the outcome.  Everything that can change
+    an outcome is in the address, so stale hits are impossible within
+    a package version.
     """
 
     trace_digest: str
@@ -318,17 +316,11 @@ class ResultKey:
 
     @staticmethod
     def make(trace_key: "TraceKey", scenario: Scenario) -> "ResultKey":
-        """The canonical key of one evaluation point.
-
-        Resolves the scenario's backend to its cache identity through
-        :func:`repro.backends.base.cache_identity_of`.
-        """
-        from ..backends.base import cache_identity_of
-
+        """The canonical key of one evaluation point."""
         return ResultKey(
             trace_digest=trace_key.digest,
             scenario_digest=scenario.digest,
-            backend=cache_identity_of(scenario.backend),
+            backend=scenario.backend,
         )
 
     @property
@@ -956,12 +948,15 @@ class TraceStore:
             with self._lock:
                 first_hold = not self._held_leases
                 self._held_leases.add((kind, ref))
-                self._ensure_lease_heartbeat()
             if first_hold:
                 # Publish the liveness manifest right away: the lease
                 # file itself carries one TTL of validity, but the
-                # manifest is what keeps it alive past that.
+                # manifest is what keeps it alive past that.  Publish
+                # before the heartbeat starts, so its first tick finds
+                # the manifest a full interval old and renews it.
                 self._renew_manifest(force=True)
+            with self._lock:
+                self._ensure_lease_heartbeat()
             obs.emit("lease.acquire", kind=kind, ref=ref)
             return True
         return False
@@ -1517,15 +1512,6 @@ class TraceStore:
         claim, or a live holder's waiter for :meth:`get_result`."""
         return self._step("result", key.ref, *self._result_steps(key))
 
-    def acquire_result(
-        self, key: ResultKey, *, waiter: _Waiter | None = None
-    ) -> Claim:
-        """The blocking claim protocol: a hit, or the caller computes
-        (``Claim.owned`` says whether it holds the claim).  ``waiter``
-        continues from a :meth:`try_claim_result` step."""
-        steps = self._result_steps(key)
-        return self._acquire("result", key.ref, *steps, waiter)
-
     def get_result(
         self,
         key: ResultKey,
@@ -1535,11 +1521,14 @@ class TraceStore:
     ) -> EvalOutcome:
         """Memory → disk → ``compute()`` (which is then persisted).
 
-        :meth:`acquire_result`, then compute and put: callers for one
-        key — threads or processes on the root — compute it once while
-        its owner is alive.  The claim is abandoned only on failure.
+        The blocking claim protocol, then compute and put: callers for
+        one key — threads or processes on the root — compute it once
+        while its owner is alive.  ``waiter`` continues from a
+        :meth:`try_claim_result` step.  The claim is abandoned only on
+        failure.
         """
-        claim = self.acquire_result(key, waiter=waiter)
+        steps = self._result_steps(key)
+        claim = self._acquire("result", key.ref, *steps, waiter)
         if claim.hit is not None:
             return claim.hit
         try:

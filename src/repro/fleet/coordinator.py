@@ -7,9 +7,11 @@ from its single-threaded event loop.
 Scheduling rules:
 
 * **round-robin fairness** — :meth:`FleetCoordinator.next_job` serves
-  campaigns with pending work alternately (the cross-host mirror of
-  the service's ``_FairQueue``): a 10⁵-point grid admitted first
-  cannot starve a later one-kernel campaign behind its whole backlog;
+  campaigns with pending work alternately, the same rotation the
+  in-process :class:`~repro.engine.service.EvalService` queue uses
+  (its requeue and admission rules differ, so the two stay separate
+  classes): a 10⁵-point grid admitted first cannot starve a later
+  one-kernel campaign behind its whole backlog;
 * **worker leases** — a handed-out job is charged to its worker
   connection; :meth:`worker_lost` requeues everything a vanished
   worker still owed, at the *front* of the campaign (recovered points

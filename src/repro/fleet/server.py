@@ -11,19 +11,12 @@ workers evaluate against the shared store root and publish through
 the claim leases, which is also why the server can requeue a job it
 is not sure about — the second evaluation is a cache hit or a benign
 atomically-replaced duplicate, never a conflict.
-
-Campaign specs submitted with ``backend="service"`` are normalised to
-the server's concrete ``--delegate`` before distribution: "service"
-names this-process scheduling, which does not exist on a remote
-worker, and the normalisation keeps every fleet result cached under a
-concrete backend identity that any later local run can replay.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
-from dataclasses import replace
 
 from .. import obs
 from ..engine import CampaignSpec
@@ -82,14 +75,12 @@ class FleetServer:
         *,
         host: str = "127.0.0.1",
         port: int = 0,
-        delegate: str = "untimed",
     ) -> None:
         self.coordinator = (
             coordinator if coordinator is not None else FleetCoordinator()
         )
         self._host = host
         self._port = port
-        self.delegate = delegate
         self._server: asyncio.base_events.Server | None = None
         self._changed: asyncio.Condition | None = None
         self._worker_seq = 0
@@ -254,7 +245,6 @@ class FleetServer:
             }
         try:
             spec = CampaignSpec.from_dict(document)
-            spec = self._normalise(spec)
         except (KeyError, ValueError) as exc:
             return {"op": "error", "error": str(exc)}
         try:
@@ -269,19 +259,6 @@ class FleetServer:
         )
         await self._notify()
         return {"op": "accepted", "backend": spec.backend, **accepted}
-
-    def _normalise(self, spec: CampaignSpec) -> CampaignSpec:
-        """Pin the spec to a concrete backend before distribution."""
-        if spec.backend == "service":
-            spec = replace(spec, backend=self.delegate)
-        from ..backends import get_backend
-
-        if hasattr(get_backend(spec.backend), "dispatch_jobs"):
-            raise ValueError(
-                f"backend {spec.backend!r} is a dispatching facade; fleet "
-                "campaigns need a concrete backend"
-            )
-        return spec
 
     async def _op_wait(self, message: dict) -> dict:
         digest = str(message.get("campaign"))

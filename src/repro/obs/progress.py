@@ -4,7 +4,7 @@
 redraws one carriage-return line from ``campaign.point`` events — the
 sweep progress the CLI used to print from a bespoke path inside its
 consume loop.  Routing it through the event log means every producer
-of points (serial executor, parallel executor, service backend) drives
+of points (serial executor, parallel executor, evaluation service) drives
 the same renderer, :meth:`close` *guarantees* the final newline, and
 :meth:`clear` lets ``repro serve`` wipe the line before printing its
 stats table so the two never interleave mid-row.

@@ -49,14 +49,12 @@ def _smuggled_reduction_scenario(
 class TestRegistry:
     def test_builtins_registered(self):
         assert backend_names() == (
-            "service",
             "timed",
             "untimed",
             "untimed-vec",
         )
         assert get_backend("untimed").name == "untimed"
         assert get_backend("untimed-vec").name == "untimed-vec"
-        assert get_backend("service").name == "service"
         assert get_backend("timed").scenario_axes == (
             "topologies",
             "modes",

@@ -179,30 +179,10 @@ class TestCommands:
         assert "fifo" in out and "lru" in out
 
     def test_sweep_unknown_backend(self, capsys):
-        assert main(["sweep", "iccg", "--backend", "quantum"]) == 2
-        assert "unknown backend" in capsys.readouterr().err
-
-    def test_sweep_service_backend(self, capsys):
-        from repro.backends import configure_service, shutdown_service
-
-        shutdown_service()
-        configure_service(workers=0)  # inline: no pool in the CLI test
-        try:
-            assert (
-                main(
-                    [
-                        "sweep", "first_diff", "--n", "200",
-                        "--backend", "service",
-                        "--pes", "1", "2", "--page-sizes", "32",
-                        "--parallel",
-                    ]
-                )
-                == 0
-            )
-            assert "first_diff" in capsys.readouterr().out
-        finally:
-            shutdown_service()
-            configure_service()
+        # "service" is an executor, not a backend.
+        for backend in ("quantum", "service"):
+            assert main(["sweep", "iccg", "--backend", backend]) == 2
+            assert "unknown backend" in capsys.readouterr().err
 
     def _write_spec(self, path, name, pes):
         path.write_text(
@@ -218,43 +198,35 @@ class TestCommands:
         )
 
     def test_serve_runs_campaigns_over_one_service(self, capsys, tmp_path):
-        from repro.backends import configure_service, shutdown_service
-
-        shutdown_service()
-        try:
-            spec_a, spec_b = tmp_path / "a.json", tmp_path / "b.json"
-            self._write_spec(spec_a, "serve-a", [1, 2])
-            self._write_spec(spec_b, "serve-b", [2, 4])
-            out_path = tmp_path / "serve.json"
-            assert (
-                main(
-                    [
-                        "serve",
-                        "--campaign", str(spec_a),
-                        "--campaign", str(spec_b),
-                        "--workers", "0",
-                        "--json", str(out_path),
-                    ]
-                )
-                == 0
+        spec_a, spec_b = tmp_path / "a.json", tmp_path / "b.json"
+        self._write_spec(spec_a, "serve-a", [1, 2])
+        self._write_spec(spec_b, "serve-b", [2, 4])
+        out_path = tmp_path / "serve.json"
+        assert (
+            main(
+                [
+                    "serve",
+                    "--campaign", str(spec_a),
+                    "--campaign", str(spec_b),
+                    "--workers", "0",
+                    "--json", str(out_path),
+                ]
             )
-            out = capsys.readouterr().out
-            assert "campaigns over one evaluation service" in out
-            assert "service stats" in out
-            document = json.loads(out_path.read_text())
-            assert len(document["campaigns"]) == 2
-            assert document["service"]["completed_total"] >= 1
-            for campaign in document["campaigns"]:
-                assert campaign["backend"] == "service"
-        finally:
-            shutdown_service()
-            configure_service()
+            == 0
+        )
+        out = capsys.readouterr().out
+        assert "campaigns over one evaluation service" in out
+        assert "service stats" in out
+        document = json.loads(out_path.read_text())
+        assert len(document["campaigns"]) == 2
+        assert document["service"]["completed_total"] >= 1
+        for campaign in document["campaigns"]:
+            assert campaign["backend"] == "untimed-vec"  # the spec default
+            assert campaign["executor"].startswith("service[")
 
-    def test_serve_refuses_to_switch_a_specs_physics(self, capsys, tmp_path):
-        """A spec that names a concrete backend is only served when
-        the delegate matches — never silently re-evaluated elsewhere."""
-        from repro.backends import configure_service, shutdown_service
-
+    def test_serve_runs_each_spec_on_its_own_backend(self, capsys, tmp_path):
+        """A timed spec is evaluated on the timed machine — no flag
+        chooses the physics for it."""
         spec = tmp_path / "timed.json"
         spec.write_text(
             json.dumps(
@@ -268,40 +240,19 @@ class TestCommands:
                 }
             )
         )
-        try:
-            # Default delegate is 'untimed': refusing beats silently
-            # evaluating a timed spec on the untimed simulator.
-            assert main(["serve", "--campaign", str(spec)]) == 2
-            err = capsys.readouterr().err
-            assert "timed" in err and "--delegate" in err
-            # With the matching delegate the same spec is served.
-            assert (
-                main(
-                    [
-                        "serve", "--campaign", str(spec),
-                        "--delegate", "timed", "--workers", "0",
-                    ]
-                )
-                == 0
-            )
-        finally:
-            shutdown_service()
-            configure_service()
-
-    def test_serve_rejects_a_bad_delegate(self, capsys, tmp_path):
-        from repro.backends import configure_service, shutdown_service
-
-        spec = tmp_path / "a.json"
-        self._write_spec(spec, "serve-x", [1])
+        out_path = tmp_path / "serve.json"
         assert (
             main(
-                ["serve", "--campaign", str(spec), "--delegate", "quantum"]
+                [
+                    "serve", "--campaign", str(spec), "--workers", "0",
+                    "--json", str(out_path),
+                ]
             )
-            == 2
+            == 0
         )
-        assert "unknown backend" in capsys.readouterr().err
-        shutdown_service()
-        configure_service()
+        (campaign,) = json.loads(out_path.read_text())["campaigns"]
+        assert campaign["backend"] == "timed"
+        assert all("finish_time" in row for row in campaign["results"])
 
     def test_advise(self, capsys):
         assert main(["advise", "first_diff", "--n", "300"]) == 0

@@ -315,21 +315,15 @@ class TestServer:
                 client.request(
                     {"op": "submit", "spec": {"kernels": [], "pes": [0]}}
                 )
-            # A dispatching backend cannot be distributed either:
-            # "service" normally normalises to the server's concrete
-            # delegate, so point the delegate at a facade to prove the
-            # server refuses to hand a dispatcher to remote workers.
-            live_server.delegate = "service"
-            try:
-                with pytest.raises(FleetError, match="dispatching facade"):
-                    client.request(
-                        {
-                            "op": "submit",
-                            "spec": {**SMALL_SPEC, "backend": "service"},
-                        }
-                    )
-            finally:
-                live_server.delegate = "untimed"
+            # "service" is an executor, not a backend: refused like
+            # any other unknown backend name.
+            with pytest.raises(FleetError, match="unknown backend"):
+                client.request(
+                    {
+                        "op": "submit",
+                        "spec": {**SMALL_SPEC, "backend": "service"},
+                    }
+                )
 
     def test_fetch_requires_the_worker_role(self, live_server):
         with FleetClient(self.address(live_server)) as client:

@@ -464,21 +464,20 @@ class TestCampaignIntegration:
         assert "eval_s" in headers and "hit" in headers
 
     def test_span_tree_covers_every_grid_point(self, tmp_path):
-        """Acceptance: one service-backend campaign with the sink on
-        yields a merged JSONL whose span tree covers build -> cache ->
-        evaluate for every grid point."""
+        """Acceptance: one campaign run through an evaluation service
+        with the sink on yields a merged JSONL whose span tree covers
+        build -> cache -> evaluate for every grid point."""
         from dataclasses import replace
 
-        from repro.backends import configure_service, get_service
-        from repro.engine import TraceStore, run_campaign
+        from repro.engine import EvalService, TraceStore, run_campaign
 
-        configure_service(workers=0, delegate="untimed")
+        service = EvalService(workers=0)
         try:
             stem = tmp_path / "svc-events"
             obs.configure(f"jsonl:{stem}")
-            spec = replace(self.small_spec("obs-svc"), backend="service")
+            spec = replace(self.small_spec("obs-svc"), backend="untimed")
             store = TraceStore(tmp_path / "store")
-            result = run_campaign(spec, store=store, parallel=True)
+            result = run_campaign(spec, store=store, service=service)
             merged = obs.merge()
             obs.configure(None)
 
@@ -506,10 +505,11 @@ class TestCampaignIntegration:
             assert reduction_parents <= evaluate_ids
             assert len(reduction_parents) == spec.n_points
             assert len(result) == spec.n_points
-            service_stats = get_service().stats()
+            service_stats = service.stats()
             assert service_stats["completed_total"] == spec.n_points
         finally:
             obs.configure(None)
+            service.close()
 
 
 class TestEmitResilience:

@@ -1,10 +1,12 @@
 """The shared evaluation service: one resident pool, many campaigns.
 
-The tentpole contracts of ``backend="service"``:
+An :class:`~repro.engine.EvalService` is an executor a campaign is
+handed (``run_campaign(spec, service=svc)``), never a backend:
 
-* the service is a *facade* — scenario axes, result schema and
-  reduction support are the delegate's, and outcomes are bit-identical
-  to evaluating on the delegate directly;
+* a service run is an ordinary run — records ``identical()`` to a
+  serial run, results cached under the spec's own backend (a later
+  serial run replays them), nothing written to the default store, and
+  a timed spec evaluated on the timed machine;
 * N concurrent campaigns share **one** worker pool (``pool_launches_total``
   stays at 1) with exactly-once evaluation, asserted through the
   process evaluation counter and the store's entry counts;
@@ -12,7 +14,8 @@ The tentpole contracts of ``backend="service"``:
   completes, it just trickles in;
 * errors raised inside resident workers (including
   :class:`UnsupportedScenarioError`) survive the trip back with their
-  structured fields intact.
+  structured fields intact, and a point that fails mid-stream leaves
+  no claim and no result behind.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from __future__ import annotations
 import asyncio
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -28,147 +32,133 @@ from repro.backends import (
     Scenario,
     UnsupportedScenarioError,
     backend_names,
-    configure_service,
     evaluate_scenario,
     evaluation_count,
     get_backend,
-    get_service,
-    shutdown_service,
+    register_backend,
 )
-from repro.backends.service import ServiceSaturatedError, _FairQueue
+from repro.backends.base import _REGISTRY
 from repro.core import MachineConfig
 from repro.engine import (
     CampaignSpec,
+    EvalService,
     KernelSpec,
     ResultKey,
     TraceStore,
+    default_store,
     kernel_trace_key,
     run_campaign,
+    set_default_store,
 )
+from repro.engine.service import _FairQueue
 
 
-@pytest.fixture(autouse=True)
-def fresh_service():
-    """Each test starts (and leaves) the service unconfigured."""
-    shutdown_service()
-    yield
-    shutdown_service()
-    configure_service()  # restore the defaults for later test modules
+@pytest.fixture()
+def make_service():
+    """Build evaluation services that are closed when the test ends."""
+    services: list[EvalService] = []
+
+    def make(**kwargs) -> EvalService:
+        service = EvalService(**kwargs)
+        services.append(service)
+        return service
+
+    yield make
+    for service in services:
+        service.close()
 
 
-def small_spec(name: str = "svc", pes=(1, 2)) -> CampaignSpec:
+def small_spec(
+    name: str = "svc", pes=(1, 2), backend: str = "untimed", **axes
+) -> CampaignSpec:
     return CampaignSpec(
         name=name,
-        backend="service",
+        backend=backend,
         kernels=(KernelSpec("first_diff", n=96),),
         pes=pes,
         page_sizes=(16,),
         cache_elems=(0, 64),
+        **axes,
+    )
+
+
+def result_key(kernel: KernelSpec, scenario: Scenario) -> ResultKey:
+    return ResultKey.make(
+        kernel_trace_key(kernel.name, n=kernel.n, seed=kernel.seed), scenario
     )
 
 
 def unique_points(*specs: CampaignSpec) -> set[ResultKey]:
-    keys = set()
-    for spec in specs:
-        for kernel, scenario in spec.points():
-            keys.add(
-                ResultKey(
-                    trace_digest=kernel_trace_key(
-                        kernel.name, n=kernel.n, seed=kernel.seed
-                    ).digest,
-                    scenario_digest=scenario.digest,
-                    backend=scenario.backend,
-                )
-            )
-    return keys
+    return {
+        result_key(kernel, scenario)
+        for spec in specs
+        for kernel, scenario in spec.points()
+    }
 
 
-class TestFacade:
-    def test_registered(self):
-        assert "service" in backend_names()
-        assert get_backend("service").name == "service"
+class TestOrdinaryRun:
+    """Scheduling is all a service adds: no physics, no cache namespace."""
 
-    def test_axes_and_schema_follow_the_delegate(self):
-        service = get_backend("service")
-        untimed = get_backend("untimed")
-        assert service.scenario_axes == untimed.scenario_axes
-        assert service.result_schema == untimed.result_schema
-        assert service.supported_reductions is None
+    @pytest.fixture()
+    def default_elsewhere(self, tmp_path):
+        """Point the default store away from every campaign's store."""
+        previous = default_store()
+        store = TraceStore(tmp_path / "default")
+        set_default_store(store)
+        yield store
+        set_default_store(previous)
 
-        configure_service(delegate="timed")
-        timed = get_backend("timed")
-        assert service.scenario_axes == timed.scenario_axes
-        assert service.result_schema == timed.result_schema
-        assert service.supported_reductions == timed.supported_reductions
+    def test_service_is_not_a_backend(self):
+        assert "service" not in backend_names()
 
-    def test_spec_validation_uses_the_delegates_axes(self):
-        # The untimed delegate consumes no topology axis: sweeping it
-        # through the service is rejected exactly as on untimed.
-        with pytest.raises(ValueError, match="not used by backend"):
-            CampaignSpec(
-                name="x", kernels=("iccg",), backend="service",
-                topologies=("mesh", "torus"),
-            )
-        configure_service(delegate="timed", workers=0)
-        CampaignSpec(
-            name="x", kernels=("iccg",), backend="service",
-            topologies=("mesh", "torus"),
-        )
-
-    def test_delegate_validation(self):
-        with pytest.raises(ValueError, match="delegate to itself"):
-            configure_service(delegate="service")
-        with pytest.raises(KeyError, match="unknown backend"):
-            configure_service(delegate="wormhole")
-        with pytest.raises(ValueError, match="workers"):
-            configure_service(workers=-1)
-        with pytest.raises(ValueError, match="queue_size"):
-            configure_service(queue_size=0)
-
-    def test_outcomes_identical_to_the_delegate(self, hydro_trace):
-        configure_service(workers=0)  # inline: physics, not scheduling
-        config = MachineConfig(n_pes=4, page_size=32, cache_elems=64)
-        via_service = evaluate_scenario(
-            hydro_trace, Scenario(config=config, backend="service")
-        )
-        direct = evaluate_scenario(
-            hydro_trace, Scenario(config=config, backend="untimed")
-        )
-        assert via_service.backend == "service"
-        assert np.array_equal(via_service.stats.counts, direct.stats.counts)
-        assert via_service.metrics == direct.metrics
-        for name in direct.per_pe:
-            assert np.array_equal(
-                via_service.per_pe[name], direct.per_pe[name]
-            )
-
-    def test_unsupported_scenario_error_crosses_the_service(
-        self, hydro_trace
+    def test_records_and_cache_entries_match_a_serial_run(
+        self, tmp_path, make_service, default_elsewhere
     ):
-        """A strategy no backend has heard of (smuggled past the
-        config validator — every valid one is modelled now) hits the
-        delegate's backstop inside a pool worker and must come back
-        with its structured fields intact."""
-        configure_service(delegate="timed", workers=1)
-        config = MachineConfig(n_pes=2, page_size=32)
-        object.__setattr__(config, "reduction_strategy", "tree")
-        scenario = Scenario(config=config, backend="service")
-        with pytest.raises(UnsupportedScenarioError) as excinfo:
-            get_backend("service").evaluate(hydro_trace, scenario)
-        # The structured fields survived the worker → parent pickle.
-        assert excinfo.value.backend == "timed"
-        assert excinfo.value.knob == "reduction_strategy"
-        assert excinfo.value.value == "tree"
-        assert excinfo.value.supported == ("host", "subrange")
+        spec = small_spec("svc-ordinary")
+        store = TraceStore(tmp_path / "store")
+        via_service = run_campaign(
+            spec, store=store, service=make_service(workers=0)
+        )
+        assert via_service.executor == "service[serial]"
+        serial = run_campaign(
+            spec, store=TraceStore(tmp_path / "fresh"), parallel=False
+        )
+        assert via_service.identical(serial)
+        # Cached under the spec's own backend: a plain serial run over
+        # the same store replays every point.
+        before = evaluation_count()
+        again = run_campaign(spec, store=store, parallel=False)
+        assert evaluation_count() == before
+        assert f"cache[{spec.n_points}/{spec.n_points}]" in again.executor
+        assert again.identical(serial)
+        assert default_elsewhere.n_results() == 0
+
+    def test_timed_spec_runs_on_the_timed_machine(
+        self, tmp_path, make_service
+    ):
+        """One service, two physics: each spec runs on its own backend."""
+        service = make_service(workers=0)
+        store = TraceStore(tmp_path / "store")
+        untimed = run_campaign(
+            small_spec("svc-untimed"), store=store, service=service
+        )
+        spec = small_spec(
+            "svc-timed", backend="timed", topologies=("mesh", "torus")
+        )
+        result = run_campaign(spec, store=store, service=service)
+        assert "page_fetches" in untimed.records[0].metrics
+        assert len(result) == spec.n_points
+        assert {r.outcome.backend for r in result.records} == {"timed"}
+        assert all("finish_time" in r.metrics for r in result.records)
 
 
 class TestSharedPool:
     def test_two_concurrent_campaigns_share_one_pool_exactly_once(
-        self, tmp_path
+        self, tmp_path, make_service
     ):
         """The acceptance criterion: two campaigns, one resident pool,
         every unique point evaluated exactly once (store counters)."""
-        configure_service(workers=1)
+        service = make_service(workers=1)
         store = TraceStore(tmp_path / "store")
         specs = {
             "a": small_spec("svc-a", pes=(1, 2, 4)),
@@ -182,7 +172,7 @@ class TestSharedPool:
         def drive(name: str) -> None:
             try:
                 results[name] = run_campaign(
-                    specs[name], store=store, parallel=True
+                    specs[name], store=store, service=service
                 )
             except BaseException as exc:  # noqa: BLE001 - surfaced below
                 errors.append(exc)
@@ -202,7 +192,7 @@ class TestSharedPool:
         # entry per point, and the pool was launched exactly once.
         assert evaluation_count() - before == len(expected)
         assert store.n_results() == len(expected)
-        stats = get_service().stats()
+        stats = service.stats()
         assert stats["pool_launches_total"] <= 1  # 0 when forced inline
         assert stats["completed_total"] == stats["submitted_total"]
         for result in results.values():
@@ -217,118 +207,78 @@ class TestSharedPool:
             )
             assert results[name].identical(baseline)
 
-    def test_bounded_queue_still_completes_large_grids(self, tmp_path):
-        configure_service(workers=0, queue_size=2)
+    def test_pool_parameters_are_validated(self):
+        with pytest.raises(ValueError, match="workers"):
+            EvalService(workers=-1)
+        with pytest.raises(ValueError, match="queue_size"):
+            EvalService(queue_size=0)
+
+    def test_unsupported_scenario_error_crosses_the_service(
+        self, hydro_trace, make_service
+    ):
+        """A strategy no backend has heard of (smuggled past the
+        config validator — every valid one is modelled now) hits the
+        backend's backstop inside a pool worker and must come back
+        with its structured fields intact."""
+        service = make_service(workers=1)
+        config = MachineConfig(n_pes=2, page_size=32)
+        object.__setattr__(config, "reduction_strategy", "tree")
+        scenario = Scenario(config=config, backend="timed")
+        with pytest.raises(UnsupportedScenarioError) as excinfo:
+            service.submit(hydro_trace, scenario).result(timeout=120)
+        # The structured fields survived the worker → parent pickle.
+        assert excinfo.value.backend == "timed"
+        assert excinfo.value.knob == "reduction_strategy"
+        assert excinfo.value.value == "tree"
+        assert excinfo.value.supported == ("host", "subrange")
+
+    def test_bounded_queue_still_completes_large_grids(
+        self, tmp_path, make_service
+    ):
+        service = make_service(workers=0, queue_size=2)
         spec = small_spec("svc-q", pes=(1, 2, 4, 8))
         result = run_campaign(
-            spec, store=TraceStore(tmp_path / "store"), parallel=True
+            spec, store=TraceStore(tmp_path / "store"), service=service
         )
         assert len(result) == spec.n_points
-        stats = get_service().stats()
+        stats = service.stats()
         assert stats["completed_total"] == spec.n_points
         assert stats["queue_high_water"] <= 2
 
-    def test_second_run_replays_from_cache(self, tmp_path):
-        configure_service(workers=0)
+    def test_second_run_replays_from_cache(self, tmp_path, make_service):
+        service = make_service(workers=0)
         spec = small_spec("svc-cache")
         store = TraceStore(tmp_path / "store")
-        first = run_campaign(spec, store=store, parallel=True)
+        first = run_campaign(spec, store=store, service=service)
         before = evaluation_count()
-        again = run_campaign(spec, store=store, parallel=True)
+        again = run_campaign(spec, store=store, service=service)
         assert evaluation_count() == before
         assert f"cache[{spec.n_points}/{spec.n_points}]" in again.executor
         assert again.identical(first)
 
-    def test_cached_results_do_not_survive_a_delegate_switch(
-        self, tmp_path
+    def test_serial_path_round_trips_through_the_service(
+        self, tmp_path, make_service
     ):
-        """Service results are cached under ``service:<delegate>``:
-        switching delegates must re-evaluate with the new physics,
-        never replay the old delegate's outcomes."""
-        configure_service(workers=0, delegate="untimed")
-        spec = CampaignSpec(
-            name="svc-delegate",
-            backend="service",
-            kernels=(KernelSpec("first_diff", n=96),),
-            pes=(1, 2),
-            page_sizes=(16,),
-            cache_elems=(64,),
-        )
-        store = TraceStore(tmp_path / "store")
-        untimed_run = run_campaign(spec, store=store, parallel=False)
-        assert "page_fetches" in untimed_run.records[0].metrics
-
-        configure_service(workers=0, delegate="timed")
-        before = evaluation_count()
-        timed_run = run_campaign(spec, store=store, parallel=False)
-        # Every point re-evaluated (no stale cache hits), and the
-        # metrics are the timed machine's, not the untimed ones.
-        assert evaluation_count() - before == spec.n_points
-        assert "finish_time" in timed_run.records[0].metrics
-        assert "page_fetches" not in timed_run.records[0].metrics
-
-        # Switching back replays the original delegate's cache.
-        configure_service(workers=0, delegate="untimed")
-        before = evaluation_count()
-        replay = run_campaign(spec, store=store, parallel=False)
-        assert evaluation_count() == before
-        assert replay.identical(untimed_run)
-
-    def test_delegate_switch_mid_campaign_skips_caching(self, tmp_path):
-        """Reconfiguring the delegate between planning and iteration
-        must not file the new delegate's physics under the planned
-        cache namespace — the stream warns and caches nothing."""
-        configure_service(workers=0, delegate="untimed")
-        spec = small_spec("svc-drift")
-        store = TraceStore(tmp_path / "store")
-        stream = run_campaign(spec, store=store, parallel=True, stream=True)
-        configure_service(workers=0, delegate="timed")
-        with pytest.warns(RuntimeWarning, match="cache identity"):
-            result = stream.result()
-        assert len(result) == spec.n_points
-        # Honest records (the timed delegate really evaluated them)...
-        assert "finish_time" in result.records[0].metrics
-        # ...but nothing cached under the stale 'service:untimed' keys.
-        assert store.n_results() == 0
-        assert store.active_leases() == 0
-
-    def test_serial_path_round_trips_through_the_service(self, tmp_path):
-        configure_service(workers=0)
+        """``parallel`` applies only without a service: a campaign
+        handed one runs there whatever ``parallel`` says."""
+        service = make_service(workers=0)
         spec = small_spec("svc-serial")
         result = run_campaign(
-            spec, store=TraceStore(tmp_path / "store"), parallel=False
+            spec,
+            store=TraceStore(tmp_path / "store"),
+            parallel=False,
+            service=service,
         )
-        assert result.executor == "serial"
+        assert result.executor == "service[serial]"
         assert len(result) == spec.n_points
-        assert get_service().stats()["completed_total"] == spec.n_points
+        assert service.stats()["completed_total"] == spec.n_points
 
-    def test_parallel_grid_rejects_mixed_dispatching_backends(
-        self, hydro_trace
+    def test_in_flight_deduplication_shares_one_future(
+        self, hydro_trace, make_service
     ):
-        """One parallel grid, one set of physics: mixing the service
-        with a direct backend is refused loudly — never evaluated
-        under the wrong delegate or inside nested pools."""
-        from repro.engine import run_grid
-
-        scenarios = [
-            Scenario(config=MachineConfig(n_pes=2, page_size=32),
-                     backend="service"),
-            Scenario(config=MachineConfig(n_pes=2, page_size=32),
-                     backend="untimed"),
-        ]
-        with pytest.raises(ValueError, match="mix dispatching"):
-            run_grid(hydro_trace, scenarios, parallel=True)
-        # Serial mixed grids dispatch per scenario and stay correct.
-        configure_service(workers=0)
-        outcomes = run_grid(hydro_trace, scenarios, parallel=False)
-        assert [o.backend for o in outcomes] == ["service", "untimed"]
-        assert outcomes[0].metrics == outcomes[1].metrics
-
-    def test_in_flight_deduplication_shares_one_future(self, hydro_trace):
-        configure_service(workers=0)
-        service = get_service()
+        service = make_service(workers=0)
         scenario = Scenario(
-            config=MachineConfig(n_pes=4, page_size=32), backend="service"
+            config=MachineConfig(n_pes=4, page_size=32), backend="untimed"
         )
         futures = [
             service.submit(hydro_trace, scenario) for _ in range(4)
@@ -340,35 +290,33 @@ class TestSharedPool:
         assert stats["completed_total"] + stats["shared_total"] == 4
         assert len(outcomes) <= stats["completed_total"]
 
-    def test_service_repr_and_stats_shape(self):
-        configure_service(workers=0, queue_size=7, delegate="untimed")
-        service = get_service()
+    def test_service_repr_and_stats_shape(self, make_service):
+        service = make_service(workers=0, queue_size=7)
         assert "EvalService" in repr(service)
         stats = service.stats()
         for field in (
             "submitted_total", "completed_total", "failed_total",
             "shared_total", "pool_launches_total", "queue_high_water",
-            "in_flight", "workers", "queue_size", "delegate", "mode",
+            "in_flight", "workers", "queue_size", "mode",
         ):
             assert field in stats
         assert stats["mode"] == "inline"
         assert stats["queue_size"] == 7
 
     def test_close_with_inflight_backlog_terminates_promptly(
-        self, hydro_trace
+        self, hydro_trace, make_service
     ):
         """Shutdown with queued work must not hang the join, leak the
         loop thread, relaunch a pool, or leave futures unresolved."""
         import time
 
-        configure_service(workers=1, queue_size=256)
-        service = get_service()
+        service = make_service(workers=1, queue_size=256)
         futures = [
             service.submit(
                 hydro_trace,
                 Scenario(
                     config=MachineConfig(n_pes=pes, page_size=page),
-                    backend="service",
+                    backend="untimed",
                 ),
             )
             for pes in (1, 2, 4, 8)
@@ -384,32 +332,32 @@ class TestSharedPool:
         for future in futures:
             assert future.done()
 
-    def test_closed_service_rejects_submissions(self, hydro_trace):
-        configure_service(workers=0)
-        service = get_service()
+    def test_closed_service_rejects_submissions(
+        self, hydro_trace, make_service
+    ):
+        service = make_service(workers=0)
         service.close()
         with pytest.raises(RuntimeError, match="closed"):
             service.submit(
                 hydro_trace,
                 Scenario(
                     config=MachineConfig(n_pes=2, page_size=32),
-                    backend="service",
+                    backend="untimed",
                 ),
             )
 
     def test_pool_worker_death_degrades_inline_and_recovers(
-        self, hydro_trace
+        self, hydro_trace, make_service
     ):
         """Kill the resident pool's worker under a queued batch: every
         future still resolves (inline fallback), the queue never
         wedges, and later submissions keep completing."""
-        configure_service(workers=1)
-        service = get_service()
+        service = make_service(workers=1)
 
         def scenario(pes: int) -> Scenario:
             return Scenario(
                 config=MachineConfig(n_pes=pes, page_size=32),
-                backend="service",
+                backend="untimed",
             )
 
         # First job launches the pool; its worker pids become visible.
@@ -429,8 +377,8 @@ class TestSharedPool:
             late = service.submit(hydro_trace, scenario(16)).result(
                 timeout=120
             )
-        assert all(o.backend == "service" for o in outcomes)
-        assert late.backend == "service"
+        assert all(o.backend == "untimed" for o in outcomes)
+        assert late.backend == "untimed"
         assert service.mode == "inline"
         assert any("pool broke" in str(w.message) for w in caught)
         # No silent losses: everything submitted either completed or
@@ -470,111 +418,72 @@ class TestFairQueue:
 
         asyncio.run(scenario())
 
-    def test_max_campaigns_admission_control(self):
-        async def scenario():
-            queue = _FairQueue(8, max_campaigns=1)
-            await queue.put("a", 1)
-            with pytest.raises(ServiceSaturatedError, match="admission"):
-                await queue.put("b", 2)
-            await queue.put("a", 3)  # the admitted campaign still queues
-            assert queue.campaigns() == 1
-            # Draining a's bucket frees the slot for b.
-            assert await queue.get() == 1
-            assert await queue.get() == 3
-            await queue.put("b", 4)
-            assert await queue.get() == 4
 
-        asyncio.run(scenario())
+class _FailsOnTwoPEs:
+    """Untimed physics, except that every two-PE point raises."""
 
-    def test_max_campaigns_config_plumbs_through(self):
-        configure_service(workers=0, max_campaigns=3)
-        assert get_service().max_campaigns == 3
-        with pytest.raises(ValueError, match="max_campaigns"):
-            configure_service(max_campaigns=0)
+    name = "fails-on-two-pes"
+    scenario_axes: tuple[str, ...] = ()
+    result_schema = get_backend("untimed").result_schema
+    table_metrics: tuple[str, ...] = ()
+
+    def evaluate(self, trace, scenario):
+        if scenario.config.n_pes == 2:
+            raise RuntimeError("injected failure at n_pes=2")
+        outcome = get_backend("untimed").evaluate(trace, scenario)
+        return replace(outcome, backend=self.name)
 
 
 class TestStoreCoordination:
-    """Bare ``evaluate_scenario`` calls coordinate through the store.
-
-    ``ServiceBackend.evaluate`` addresses each point by the trace's
-    content digest and takes the result-claim lease service-side, so
-    one-off evaluations share the campaign machinery: repeats are
-    cache hits, failures release their claim.
-    """
+    """Every caller of the store's claim protocol — serial and service
+    campaigns, the fleet worker, ``get_result``/``get`` — publishes
+    once and leaves no claim behind, whether the point is built, found
+    or fails."""
 
     @pytest.fixture()
     def own_store(self, tmp_path):
-        from repro.engine import set_default_store
-
         store = TraceStore(tmp_path / "svc-store")
         set_default_store(store)
         yield store
         set_default_store(None)  # conftest's session store resumes
 
-    def test_repeat_evaluation_is_a_store_hit(self, hydro_trace, own_store):
-        configure_service(workers=0)
-        scenario = Scenario(
-            config=MachineConfig(n_pes=4, page_size=32), backend="service"
-        )
-        first = evaluate_scenario(hydro_trace, scenario)
-        assert own_store.n_results() == 1
-        assert own_store.active_leases() == 0  # published ⇒ released
-        service = get_service()
-        completed = service.stats()["completed_total"]
-        again = evaluate_scenario(hydro_trace, scenario)
-        stats = service.stats()
-        assert stats["store_hits_total"] == 1
-        assert stats["completed_total"] == completed  # nothing re-ran
-        assert again.metrics == first.metrics
-        assert np.array_equal(again.stats.counts, first.stats.counts)
-
-    def test_result_is_addressed_by_content_digest(
-        self, hydro_trace, own_store
-    ):
-        configure_service(workers=0)
-        scenario = Scenario(
-            config=MachineConfig(n_pes=2, page_size=16), backend="service"
-        )
-        evaluate_scenario(hydro_trace, scenario)
-        key = ResultKey(
-            trace_digest=hydro_trace.content_digest,
-            scenario_digest=scenario.digest,
-            backend="service:untimed",
-        )
-        cached = own_store.lookup_result(key, count=False)
-        assert cached is not None
-        assert cached.backend == "service"
-
     def test_failed_evaluation_releases_its_claim(
-        self, hydro_trace, own_store
+        self, tmp_path, make_service
     ):
-        """A job that raises must abandon the claim lease — a wedged
+        """A point that raises mid-stream, run serially or through a
+        service, abandons its claim and publishes nothing — a wedged
         lease would make every retry defer to a corpse."""
-        configure_service(workers=0, delegate="timed")
-        config = MachineConfig(n_pes=2, page_size=32)
-        object.__setattr__(config, "reduction_strategy", "tree")
-        with pytest.raises(UnsupportedScenarioError):
-            get_backend("service").evaluate(
-                hydro_trace, Scenario(config=config, backend="service")
+        register_backend(_FailsOnTwoPEs())
+        try:
+            spec = small_spec(
+                "svc-fail", pes=(1, 2, 4), backend=_FailsOnTwoPEs.name
             )
-        assert own_store.active_leases() == 0
-        assert own_store.n_results() == 0  # nothing published
-        # The point is computable again once the knob is fixed.
-        ok = get_backend("service").evaluate(
-            hydro_trace,
-            Scenario(
-                config=MachineConfig(n_pes=2, page_size=32),
-                backend="service",
-            ),
-        )
-        assert ok.backend == "service"
+            failing = [
+                result_key(kernel, scenario)
+                for kernel, scenario in spec.points()
+                if scenario.config.n_pes == 2
+            ]
+            assert failing
+            runs = {
+                "serial": {"parallel": False},
+                "service": {"service": make_service(workers=0)},
+            }
+            for label, how in runs.items():
+                store = TraceStore(tmp_path / label)
+                with pytest.raises(RuntimeError, match="injected failure"):
+                    run_campaign(spec, store=store, **how)
+                assert store.active_leases() == 0, label
+                assert store.n_results() >= 1, label  # failed mid-stream
+                for key in failing:
+                    assert store.lookup_result(key, count=False) is None
+        finally:
+            del _REGISTRY[_FailsOnTwoPEs.name]
 
     @pytest.mark.parametrize(
-        "caller",
-        ["service", "planning", "deferred", "fleet", "get_result", "get"],
+        "caller", ["planning", "deferred", "fleet", "get_result", "get"]
     )
     def test_peer_publish_between_miss_and_claim_is_a_hit(
-        self, caller, hydro_trace, own_store, monkeypatch
+        self, caller, own_store, monkeypatch
     ):
         """A peer that publishes an entry after a caller's miss but
         before its claim must not cost a second evaluation (or
@@ -599,18 +508,7 @@ class TestStoreCoordination:
         trace = kernel_trace_cached(
             "first_diff", n=96, store=TraceStore(own_store.root.parent / "b")
         )
-        if caller == "service":
-            configure_service(workers=0)
-            scenario = Scenario(config=scenario.config, backend="service")
-            key = ResultKey(
-                trace_digest=hydro_trace.content_digest,
-                scenario_digest=scenario.digest,
-                backend="service:untimed",
-            )
-            trace = hydro_trace
-        published = get_backend("untimed").evaluate(
-            trace, Scenario(config=scenario.config, backend="untimed")
-        )
+        published = get_backend("untimed").evaluate(trace, scenario)
         # "deferred": the peer holds the claim when the campaign plans,
         # drops it, then publishes just before the campaign re-claims.
         claims = []
@@ -639,20 +537,7 @@ class TestStoreCoordination:
         monkeypatch.setattr(TraceStore, "acquire_lease", acquire)
         evaluations = evaluation_count()
         interpretations = interpretation_count()
-        if caller == "service":
-            service = get_service()
-            outcome = service.submit(
-                hydro_trace,
-                scenario,
-                count_eval=True,
-                result_key=key,
-                store=own_store,
-            ).result()
-            stats = service.stats()
-            assert stats["store_hits_total"] == 1
-            assert stats["completed_total"] == 0
-            assert np.array_equal(outcome.stats.counts, published.stats.counts)
-        elif caller in ("planning", "deferred"):
+        if caller in ("planning", "deferred"):
             result = run_campaign(spec, store=own_store, parallel=False)
             assert [r.cache_hit for r in result.records] == [True]
             assert np.array_equal(

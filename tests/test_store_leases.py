@@ -350,14 +350,25 @@ class TestLeaseEventLog:
         assert count_events(events, "lease.steal") == 0
         assert count_events(events, "lease.expire") == 0
 
+    @pytest.mark.parametrize("publish_delay_ms", [0, 50])
     def test_heartbeat_renewal_logged_exactly_once(
-        self, tmp_path, obs_stem
+        self, tmp_path, obs_stem, monkeypatch, publish_delay_ms
     ):
         # ttl=3.0 → heartbeat ticks every 1.0s and every tick finds
         # remaining < 2/3·ttl, so holding for ~1.5s spans exactly one
         # renewal window.  The renewal is the per-process manifest —
         # ONE event (and one file replace) regardless of how many
-        # leases the process holds.
+        # leases the process holds.  A slow first publish must not
+        # push the first tick out of its window: the heartbeat starts
+        # only once the manifest is out.
+        renew = TraceStore._renew_manifest
+
+        def slow_first_publish(store, *, force=False):
+            if force:
+                time.sleep(publish_delay_ms / 1000.0)
+            renew(store, force=force)
+
+        monkeypatch.setattr(TraceStore, "_renew_manifest", slow_first_publish)
         store = TraceStore(tmp_path / "store", lease_ttl_s=3.0)
         refs = ["2c" * 10, "2d" * 10, "2e" * 10]
         for ref in refs:
