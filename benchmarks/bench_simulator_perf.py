@@ -3,12 +3,12 @@
 Times the hot paths with pytest-benchmark's statistical timing
 (multiple rounds, unlike the figure benches): trace generation by the
 interpreter, configuration evaluation by the scalar simulator, and the
-same evaluation by the columnar ``untimed-vec`` engine.  Evaluation
-must be much cheaper than generation — that asymmetry is what makes
-the trace-once / sweep-many design worthwhile — and the columnar
-cases exist to keep its margin honest (the committed ``BENCH_vec.json``
-speedup gate lives in ``tools/vec_bench.py``; these cases are the
-statistically-timed artifact CI uploads alongside it).
+same evaluation by the columnar engine behind the ``untimed`` backend.
+Evaluation must be much cheaper than generation — that asymmetry is
+what makes the trace-once / sweep-many design worthwhile — and the
+columnar cases exist to keep its margin honest (the committed
+``BENCH_vec.json`` speedup gate lives in ``tools/vec_bench.py``; these
+cases are the statistically-timed artifact CI uploads alongside it).
 """
 
 from __future__ import annotations
@@ -66,12 +66,14 @@ def test_perf_simulate_vec_reduction_funnel(benchmark):
 
 
 def test_perf_simulate_vec_fallback_policy(benchmark):
-    """FIFO over capacity is order-dependent: the per-PE scalar-replay
-    escape hatch is what this times."""
+    """The seeded ``random`` policy must consult its RNG in eviction
+    order, so it has no closed form (FIFO over capacity solves through
+    the eviction-epoch fixed point): the per-PE scalar-replay escape
+    hatch is what this times."""
     program, inputs = get_kernel("inner_product").build(n=20_000)
     trace = kernel_trace(program, inputs)
     cfg = MachineConfig(
-        n_pes=8, page_size=32, cache_elems=64, cache_policy="fifo"
+        n_pes=8, page_size=32, cache_elems=64, cache_policy="random"
     )
     telemetry: dict[str, int] = {}
     result = benchmark(lambda: simulate_vec(trace, cfg, telemetry))

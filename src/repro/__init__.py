@@ -16,9 +16,9 @@ The package provides:
   network topologies (the paper's §9 future-work simulation);
 * :mod:`repro.backends` — the evaluation API: a frozen ``Scenario``
   type, the ``EvalBackend`` protocol and registry, and the built-in
-  backends ("untimed" and its columnar twin "untimed-vec" wrap the §6
-  simulator, "timed" wraps the discrete-event machine) so every
-  evaluator is sweepable through one contract;
+  backends ("untimed" replays the §6 simulator columnarly, "timed"
+  wraps the discrete-event machine) so every evaluator is sweepable
+  through one contract;
 * :mod:`repro.hostproto` — the §5 host-processor re-initialisation
   protocol;
 * :mod:`repro.kernels` — Livermore Loops workloads (IR + NumPy

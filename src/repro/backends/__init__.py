@@ -14,17 +14,20 @@ puts both — and any backend a user registers — behind one contract:
   consumes;
 * :func:`~repro.backends.base.register_backend` /
   :func:`~repro.backends.base.get_backend` — the registry the engine
-  dispatches through;
+  dispatches through (:func:`~repro.backends.base.canonical_backend`
+  resolves aliases first);
 * :func:`~repro.backends.base.evaluate_scenario` — the single counted
-  evaluation path (mirrors the trace store's interpretation counter).
+  evaluation path (mirrors the trace store's interpretation counter),
+  and the one place ``REPRO_PROFILE`` phase columns are added.
 
-Importing this package registers the three built-ins: ``"untimed"``
-(:class:`~repro.backends.untimed.UntimedBackend`), ``"untimed-vec"``
-(:class:`~repro.backends.untimed_vec.UntimedVecBackend` — the columnar
-replay engine and the *default* backend, bit-identical to
-``"untimed"`` and held to it by the generative fidelity harness) and
-``"timed"`` (:class:`~repro.backends.timed.TimedBackend`).  A backend
-is physics only; scheduling — serial, a forked pool, or one resident
+Importing this package registers the two built-ins: ``"untimed"``
+(:class:`~repro.backends.untimed_vec.UntimedBackend` — the paper's
+measurement instrument replayed columnarly, the *default* backend,
+held bit-identical to the scalar oracle
+:func:`repro.core.simulator.simulate` by the generative fidelity
+harness; ``"untimed-vec"`` is an alias of it) and ``"timed"``
+(:class:`~repro.backends.timed.TimedBackend`).  A backend is physics
+only; scheduling — serial, a forked pool, or one resident
 pool shared by concurrent campaigns
 (:class:`~repro.engine.service.EvalService`) — belongs to the engine's
 executor.  The support matrix — which backend consumes which scenario
@@ -56,6 +59,7 @@ from .base import (
     Scenario,
     UnsupportedScenarioError,
     backend_names,
+    canonical_backend,
     cost_model,
     cost_model_names,
     evaluate_scenario,
@@ -65,8 +69,7 @@ from .base import (
     register_backend,
 )
 from .timed import TimedBackend
-from .untimed import UntimedBackend
-from .untimed_vec import UntimedVecBackend
+from .untimed_vec import UntimedBackend
 
 __all__ = [
     "COST_MODEL_PRESETS",
@@ -77,8 +80,8 @@ __all__ = [
     "TimedBackend",
     "UnsupportedScenarioError",
     "UntimedBackend",
-    "UntimedVecBackend",
     "backend_names",
+    "canonical_backend",
     "cost_model",
     "cost_model_names",
     "evaluate_scenario",

@@ -30,6 +30,7 @@ from ..core.stats import AccessStats
 from ..ir.trace import Trace
 from ..machine.network import canonical_topology
 from ..machine.pe import CostModel
+from ..obs import profile
 
 __all__ = [
     "COST_MODEL_PRESETS",
@@ -39,6 +40,7 @@ __all__ = [
     "Scenario",
     "UnsupportedScenarioError",
     "backend_names",
+    "canonical_backend",
     "cost_model",
     "cost_model_names",
     "evaluate_scenario",
@@ -182,22 +184,24 @@ class Scenario:
     :class:`~repro.engine.campaign.CampaignSpec` enforces this for
     every engine-built scenario.  ``backend`` is part of the canonical
     form, so the same machine point evaluated under two backends has
-    two digests and two result-cache entries, by design.
+    two digests and two result-cache entries, by design; an alias
+    (``"untimed-vec"``) is resolved first, so it shares its backend's.
     """
 
     config: MachineConfig
-    backend: str = "untimed-vec"
+    backend: str = "untimed"
     topology: str = "crossbar"
     mode: str = "blocking"
     cost_model: str = "default"
     max_outstanding: int = 4
 
     def __post_init__(self) -> None:
-        # Canonicalise aliases ("mesh" -> "mesh2d") so equal scenarios
-        # have equal dicts, labels and digests.
+        # Canonicalise aliases ("mesh" -> "mesh2d", "untimed-vec" ->
+        # "untimed") so equal scenarios have equal dicts and digests.
         object.__setattr__(
             self, "topology", canonical_topology(self.topology)
         )
+        object.__setattr__(self, "backend", canonical_backend(self.backend))
         if self.mode not in MODES:
             raise ValueError(f"unknown mode {self.mode!r}; choose from {MODES}")
         cost_model(self.cost_model)  # fail fast on typos
@@ -259,7 +263,7 @@ class Scenario:
             raise ValueError("scenario needs a 'config' mapping")
         return Scenario(
             config=MachineConfig.from_dict(data["config"]),  # type: ignore[arg-type]
-            backend=str(data.get("backend", "untimed-vec")),
+            backend=str(data.get("backend", "untimed")),
             topology=str(data.get("topology", "crossbar")),
             mode=str(data.get("mode", "blocking")),
             cost_model=str(data.get("cost_model", "default")),
@@ -381,6 +385,16 @@ class EvalBackend(Protocol):
 
 _REGISTRY: dict[str, EvalBackend] = {}
 
+#: Other spellings of registered backends.  ``untimed-vec`` stays
+#: accepted for specs written when it named the columnar engine, which
+#: is ``untimed`` itself now.
+_ALIASES = {"untimed-vec": "untimed"}
+
+
+def canonical_backend(name: str) -> str:
+    """Resolve a backend alias to the name it is registered under."""
+    return _ALIASES.get(name, name)
+
 
 def register_backend(backend: EvalBackend, *, replace: bool = False) -> None:
     """Add a backend to the registry (``replace=True`` to override)."""
@@ -391,7 +405,7 @@ def register_backend(backend: EvalBackend, *, replace: bool = False) -> None:
 
 def get_backend(name: str) -> EvalBackend:
     try:
-        return _REGISTRY[name]
+        return _REGISTRY[canonical_backend(name)]
     except KeyError:
         raise KeyError(
             f"unknown backend {name!r}; registered: {backend_names()}"
@@ -439,8 +453,24 @@ def record_evaluations(n: int) -> None:
     _evaluations += int(n)
 
 
+#: Metric-column prefix of the ``REPRO_PROFILE`` phase timings.
+PROFILE_PREFIX = "profile_"
+
+
 def evaluate_scenario(trace: Trace, scenario: Scenario) -> EvalOutcome:
-    """Dispatch one evaluation through the registry (counted)."""
+    """Dispatch one evaluation through the registry (counted).
+
+    ``REPRO_PROFILE`` adds the engine's phase wall times as
+    ``profile_<phase>_s`` columns; the result store never keeps them.
+    """
     global _evaluations
     _evaluations += 1
-    return get_backend(scenario.backend).evaluate(trace, scenario)
+    backend = get_backend(scenario.backend)
+    if not profile.enabled():
+        return backend.evaluate(trace, scenario)
+    with profile.collect() as phases:
+        outcome = backend.evaluate(trace, scenario)
+    metrics = dict(outcome.metrics)
+    for name, seconds in phases.items():
+        metrics[f"{PROFILE_PREFIX}{name}_s"] = seconds
+    return replace(outcome, metrics=metrics)

@@ -13,8 +13,7 @@ with every record.
 from __future__ import annotations
 
 from ..ir.trace import Trace
-from ..machine.msim import TimedMachine, run_compacted, serial_time
-from ..obs import profile
+from ..machine.msim import TimedMachine, serial_time
 from .base import (
     EvalOutcome,
     Scenario,
@@ -61,45 +60,14 @@ class TimedBackend:
                 supported=self.supported_reductions,
             )
         costs = scenario.costs
-
-        superops = trace.attached_superops()
-
-        def run_machine():
-            # Traces with a super-op view take the analytic fast path
-            # when the scenario's timing decomposes into per-PE sums
-            # (run_compacted falls back to the event loop otherwise —
-            # both paths are bit-identical by construction).  The path
-            # is cache-policy-agnostic: it consumes the untimed
-            # engine's miss ledger, so every closed form mapped in
-            # docs/fastpaths.md speeds up timed replay too.
-            if superops is not None and superops.ops:
-                return run_compacted(
-                    trace,
-                    superops,
-                    scenario.config,
-                    topology=scenario.topology,
-                    costs=costs,
-                    mode=scenario.mode,
-                    max_outstanding=scenario.max_outstanding,
-                )
-            machine = TimedMachine(
-                trace,
-                scenario.config,
-                topology=scenario.topology,
-                costs=costs,
-                mode=scenario.mode,
-                max_outstanding=scenario.max_outstanding,
-            )
-            return machine.run()
-
-        # REPRO_PROFILE adds setup / event_loop wall columns (same
-        # opt-in and bit-exactness caveat as the untimed backend).
-        phases: dict[str, float] = {}
-        if profile.enabled():
-            with profile.collect() as phases:
-                result = run_machine()
-        else:
-            result = run_machine()
+        result = TimedMachine(
+            trace,
+            scenario.config,
+            topology=scenario.topology,
+            costs=costs,
+            mode=scenario.mode,
+            max_outstanding=scenario.max_outstanding,
+        ).run()
         base = serial_time(trace, costs)
         metrics = {
             "finish_time": result.finish_time,
@@ -117,8 +85,6 @@ class TimedBackend:
             ],
             "contention_delay_cycles": result.contention_delay_cycles,
         }
-        for name, seconds in phases.items():
-            metrics[f"profile_{name}_s"] = seconds
         return EvalOutcome(
             backend=self.name,
             scenario=scenario,

@@ -1,15 +1,17 @@
-"""The columnar untimed simulator as an evaluation backend.
+"""The untimed trace-driven simulator as an evaluation backend (§6-§7).
 
-``"untimed-vec"`` answers exactly the questions ``"untimed"`` answers
-— same scenario knobs consumed (the machine configuration alone), same
-access-category counters, same per-PE fetch vectors — but replays the
-trace through :func:`repro.core.vec_simulator.simulate_vec`.  The two
-backends are held bit-identical by the generative differential harness
-in ``tests/test_vec_fidelity.py``; only the ``vec_fallback_pes``
-metric (how many PE cache walks needed the scalar fallback) and the
-profile phase names distinguish their outcomes.  LRU and FIFO walks
-both solve in closed form — ``docs/fastpaths.md`` maps exactly which
-(policy, capacity, warmth) cells replay columnar and which fall back.
+``"untimed"`` is the paper's measurement instrument.  It consumes the
+machine configuration alone and replays the trace through the
+columnar engine, :func:`repro.core.vec_simulator.simulate_vec` — or,
+for a trace carrying a super-op view, through
+:func:`repro.core.superop_replay.replay_superops`.  Both are held
+bit-identical to the scalar oracle :func:`repro.core.simulator.simulate`
+by the generative walls in ``tests/``; only the ``vec_fallback_pes``
+metric (how many PE cache walks needed the scalar fallback) is extra.
+``docs/fastpaths.md`` maps which (policy, capacity, warmth) cells
+replay columnar.  ``"untimed-vec"`` is an alias of this backend, and
+the module keeps its path because the campaign benchmark's tracer
+patches ``replay_superops`` and ``simulate_vec`` here by name.
 
 Scenario knobs the columnar engine cannot batch raise
 :class:`~repro.backends.base.UnsupportedScenarioError` up front — an
@@ -25,7 +27,6 @@ from ..cache import POLICIES
 from ..core.superop_replay import replay_superops
 from ..core.vec_simulator import simulate_vec
 from ..ir.trace import Trace
-from ..obs import profile
 from .base import (
     EvalOutcome,
     Scenario,
@@ -33,13 +34,13 @@ from .base import (
     register_backend,
 )
 
-__all__ = ["UntimedVecBackend"]
+__all__ = ["UntimedBackend"]
 
 
-class UntimedVecBackend:
-    """Backend ``"untimed-vec"``: columnar replay, scalar-identical."""
+class UntimedBackend:
+    """Backend ``"untimed"``: the paper's measurement instrument."""
 
-    name = "untimed-vec"
+    name = "untimed"
     scenario_axes: tuple[str, ...] = ()
     #: Same strategies the scalar engine models; the subrange combine
     #: is charged through the scalar engine's own shared routine, so
@@ -70,37 +71,24 @@ class UntimedVecBackend:
             )
         telemetry: dict[str, int] = {}
         superops = trace.attached_superops()
-
-        def run():
-            # A trace carrying a super-op view replays in O(unique
-            # behaviour); the engine's own scalar fallback count flows
-            # into the same vec_fallback_pes metric.
-            if superops is not None and superops.ops:
-                return replay_superops(superops, config, telemetry=telemetry)
-            return simulate_vec(trace, config, telemetry)
-
-        # Same REPRO_PROFILE opt-in (and bit-exactness caveat) as the
-        # scalar untimed backend.
-        phases: dict[str, float] = {}
-        if profile.enabled():
-            with profile.collect() as phases:
-                result = run()
+        # A trace carrying a super-op view replays in O(unique
+        # behaviour); the engine's own scalar fallback count flows
+        # into the same vec_fallback_pes metric.
+        if superops is not None and superops.ops:
+            result = replay_superops(superops, config, telemetry=telemetry)
         else:
-            result = run()
-        metrics = {
-            "page_fetches": float(result.page_fetches.sum()),
-            "distinct_pages_fetched": float(
-                result.distinct_pages_fetched.sum()
-            ),
-            "vec_fallback_pes": float(telemetry.get("fallback_pes", 0)),
-        }
-        for name, seconds in phases.items():
-            metrics[f"profile_{name}_s"] = seconds
+            result = simulate_vec(trace, config, telemetry)
         return EvalOutcome(
             backend=self.name,
             scenario=scenario,
             stats=result.stats,
-            metrics=metrics,
+            metrics={
+                "page_fetches": float(result.page_fetches.sum()),
+                "distinct_pages_fetched": float(
+                    result.distinct_pages_fetched.sum()
+                ),
+                "vec_fallback_pes": float(telemetry.get("fallback_pes", 0)),
+            },
             per_pe={
                 "page_fetches": result.page_fetches,
                 "distinct_pages_fetched": result.distinct_pages_fetched,
@@ -108,4 +96,4 @@ class UntimedVecBackend:
         )
 
 
-register_backend(UntimedVecBackend())
+register_backend(UntimedBackend())

@@ -176,7 +176,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # Figure-style series tables need one value per (page size, cache
     # on/off, PEs) cell; richer grids get the flat record table.
     series_friendly = (
-        spec.backend in ("untimed", "untimed-vec")
+        spec.backend == "untimed"
         and len(spec.cache_policies) == 1
         and len(spec.partitions) == 1
         and len(spec.reduction_strategies) == 1
@@ -713,8 +713,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=int, default=None)
     swp.add_argument(
         "--backend",
-        default="untimed-vec",
-        help="evaluation backend (untimed-vec [default], untimed, timed)",
+        default="untimed",
+        help="evaluation backend (untimed [default], timed)",
     )
     swp.add_argument(
         "--pes", nargs="+", type=int, default=[1, 4, 8, 16, 32, 64]

@@ -59,10 +59,6 @@ geometry) into an :class:`_OpProgram` memoised on the trace, so warm
 replays of a stored trace (the store's steady state, and what
 ``tools/superop_bench.py`` measures) reduce to comparing the distance
 profile against the cache capacity and a handful of segment sums.
-
-The optional ledger records the per-(PE, array) hit counts and
-per-(PE, page) miss counts the timed machine's analytic fast path
-(``machine.msim.run_compacted``) turns into latency.
 """
 
 from __future__ import annotations
@@ -86,35 +82,14 @@ __all__ = ["replay_superops"]
 _KEY_SHIFT = 1 << 40
 
 
-class TimedLedger:
-    """Per-(PE, array) hit counts and per-(PE, page) miss counts.
-
-    Filled by :func:`replay_superops` when passed as ``ledger``;
-    consumed by the timed machine's analytic fast path.  ``misses``
-    maps ``(pe, array_id, page)`` to the number of fetches of that
-    page by that PE — miss *events*, each of which the timed machine
-    charges one request/reply round trip.
-    """
-
-    def __init__(self, n_pes: int, n_arrays: int) -> None:
-        self.local = np.zeros((n_pes, n_arrays), dtype=np.int64)
-        self.cached = np.zeros((n_pes, n_arrays), dtype=np.int64)
-        self.misses: dict[tuple[int, int, int], int] = {}
-        self.writes = np.zeros(n_pes, dtype=np.int64)
-
-    def miss(self, pe: int, arr: int, page: int) -> None:
-        key = (pe, arr, page)
-        self.misses[key] = self.misses.get(key, 0) + 1
-
-
 class _OpProgram:
     """One super-op compiled against one machine *geometry*.
 
     Every field is a pure function of (op, page size, PE count,
-    partition scheme) — independent of cache policy, capacity, warm
-    cache state and the ledger — so repeated replays of one stored
-    trace (the store's warm-replay case) skip classification and the
-    reuse-distance passes entirely and go straight to the decisions.
+    partition scheme) — independent of cache policy, capacity and warm
+    cache state — so repeated replays of one stored trace (the store's
+    warm-replay case) skip classification and the reuse-distance
+    passes entirely and go straight to the decisions.
     ``dist`` is the op's reuse-distance profile over reduced runs
     (one probe per steady-state window): under LRU a re-touch misses
     iff its distance reaches the cache capacity.
@@ -125,7 +100,6 @@ class _OpProgram:
         "piece_len",
         "writes",
         "local",
-        "ledger_local",
         "r_exec",
         "r_pages",
         "nl_mask",
@@ -159,12 +133,10 @@ class _Replay:
         sot: SuperOpTrace,
         config: MachineConfig,
         telemetry: MutableMapping | None,
-        ledger: TimedLedger | None,
     ) -> None:
         self.sot = sot
         self.config = config
         self.telemetry = telemetry
-        self.ledger = ledger
         self.ps = config.page_size
         self.n_pes = config.n_pes
         self.tables = [PageTable(size, self.ps) for size in sot.array_sizes]
@@ -195,14 +167,9 @@ class _Replay:
         """One RLE run: ``touches`` consecutive touches of one page."""
         if self.caches[pe].access((arr, page)):
             self.cached[pe] += touches
-            if self.ledger is not None:
-                self.ledger.cached[pe, arr] += touches
         else:
             self.remote[pe] += 1
             self.cached[pe] += touches - 1
-            if self.ledger is not None:
-                self.ledger.cached[pe, arr] += touches - 1
-                self.ledger.miss(pe, arr, page)
 
     def _walk_pe(
         self, pe: int, arrs: np.ndarray, pages: np.ndarray, keys: np.ndarray
@@ -239,12 +206,6 @@ class _Replay:
             self.local += np.bincount(
                 r_exec[local_mask], minlength=self.n_pes
             )
-            if self.ledger is not None:
-                np.add.at(
-                    self.ledger.local,
-                    (r_exec[local_mask], r_arr[local_mask].astype(np.int64)),
-                    1,
-                )
             nonlocal_idx = np.flatnonzero(~local_mask)
         if nonlocal_idx.size == 0:
             return
@@ -338,8 +299,6 @@ class _Replay:
         self.n_pieces += prog.n_pieces
         self.writes += prog.writes
         self.local += prog.local
-        if self.ledger is not None:
-            self.ledger.local += prog.ledger_local
         if prog.rpe is None:  # the op has no nonlocal reads at all
             return
         with _phase("cache_sim"):
@@ -403,9 +362,6 @@ class _Replay:
             prog.writes, exec_pe.ravel(), np.repeat(piece_len, p)
         )
         prog.local = np.zeros(self.n_pes, dtype=np.int64)
-        prog.ledger_local = np.zeros(
-            (self.n_pes, len(self.sot.array_names)), dtype=np.int64
-        )
         n_reads = op.n_body_reads
         if n_reads == 0:
             return prog
@@ -429,14 +385,6 @@ class _Replay:
         local_mask = owner == r_exec
         weights = np.broadcast_to(piece_len[:, None], local_mask.shape)
         np.add.at(prog.local, r_exec[local_mask], weights[local_mask])
-        arr_mat = np.broadcast_to(
-            op.b_r_arr.astype(np.int64)[None, :], local_mask.shape
-        )
-        np.add.at(
-            prog.ledger_local,
-            (r_exec[local_mask], arr_mat[local_mask]),
-            weights[local_mask],
-        )
         prog.r_exec = r_exec
         prog.r_pages = r_pages
         prog.nl_mask = ~local_mask
@@ -608,7 +556,6 @@ class _Replay:
         if slow == all_pes:
             return slow
         if not slow:
-            kept = None
             miss_per_pe = np.add.reduceat(
                 miss.astype(np.int64), prog.pe_starts
             )
@@ -621,27 +568,6 @@ class _Replay:
             np.add.at(self.cached, prog.rpe[ki], prog.touches[ki])
             np.subtract.at(self.cached, prog.rpe[mi], 1)
             np.add.at(self.remote, prog.rpe[mi], 1)
-        if self.ledger is not None:
-            if kept is None:
-                np.add.at(
-                    self.ledger.cached, (prog.rpe, prog.ra), prog.touches
-                )
-                mi = np.flatnonzero(miss)
-            else:
-                ki = np.flatnonzero(kept)
-                np.add.at(
-                    self.ledger.cached,
-                    (prog.rpe[ki], prog.ra[ki]),
-                    prog.touches[ki],
-                )
-                mi = np.flatnonzero(miss & kept)
-            np.subtract.at(
-                self.ledger.cached, (prog.rpe[mi], prog.ra[mi]), 1
-            )
-            for i in mi.tolist():
-                self.ledger.miss(
-                    int(prog.rpe[i]), int(prog.ra[i]), int(prog.rp[i])
-                )
         for pe, fk in prog.firsts:
             if pe not in slow:
                 self.distinct[pe].append(fk)
@@ -858,13 +784,7 @@ class _Replay:
                 # Steady state: every further trip is all hits, and an
                 # all-hit replay of the same sequence leaves the cache
                 # state of every policy unchanged.
-                extra = (trips - 1) * touches
-                self.cached[pe] += extra
-                if self.ledger is not None:
-                    counts = np.bincount(
-                        seq_arrs, minlength=len(self.sot.array_names)
-                    )
-                    self.ledger.cached[pe] += (trips - 1) * counts
+                self.cached[pe] += (trips - 1) * touches
             else:
                 # No fixed point (the sequence thrashes its own pages):
                 # replay the remaining trips explicitly.
@@ -907,8 +827,6 @@ class _Replay:
                 distinct[pe] = len(parts[0])
             else:
                 distinct[pe] = len(np.unique(np.concatenate(parts)))
-        if self.ledger is not None:
-            self.ledger.writes += self.writes
         if self.telemetry is not None:
             self.telemetry["mode"] = "superop"
             self.telemetry["superop_ops"] = len(self.sot.ops)
@@ -934,7 +852,6 @@ def replay_superops(
     sot: SuperOpTrace,
     config: MachineConfig,
     telemetry: MutableMapping | None = None,
-    ledger: TimedLedger | None = None,
 ) -> SimResult:
     """Counters of ``simulate(sot.expand(), config)``, bit-identical,
     in O(unique behavior) instead of O(trace length).
@@ -953,4 +870,4 @@ def replay_superops(
             telemetry["mode"] = "superop-expanded"
             telemetry["fallback_pes"] = config.n_pes
         return simulate(sot.expand(), config)
-    return _Replay(sot, config, telemetry, ledger).run()
+    return _Replay(sot, config, telemetry).run()

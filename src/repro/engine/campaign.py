@@ -22,7 +22,7 @@ from itertools import product
 from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
-from ..backends import MODES, Scenario, cost_model, get_backend
+from ..backends import MODES, Scenario, canonical_backend, cost_model, get_backend
 from ..core.partition import named_scheme
 from ..core.simulator import MachineConfig
 from ..machine.network import canonical_topology
@@ -127,7 +127,7 @@ class CampaignSpec:
 
     name: str
     kernels: tuple[KernelSpec, ...]
-    backend: str = "untimed-vec"
+    backend: str = "untimed"
     pes: tuple[int, ...] = DEFAULT_PES
     page_sizes: tuple[int, ...] = DEFAULT_PAGE_SIZES
     cache_elems: tuple[int, ...] = DEFAULT_CACHES
@@ -147,13 +147,15 @@ class CampaignSpec:
         )
         for axis in _AXIS_FIELDS:
             object.__setattr__(self, axis, tuple(getattr(self, axis)))
-        # Canonicalise topology aliases so specs, labels and cache keys
-        # agree however the sweep was requested ("mesh" == "mesh2d").
+        # Canonicalise aliases so specs, labels and cache keys agree
+        # however the sweep was requested ("mesh" == "mesh2d",
+        # "untimed-vec" == "untimed").
         object.__setattr__(
             self,
             "topologies",
             tuple(canonical_topology(t) for t in self.topologies),
         )
+        object.__setattr__(self, "backend", canonical_backend(self.backend))
         if not self.kernels:
             raise ValueError("campaign needs at least one kernel")
         for axis in _AXIS_FIELDS:

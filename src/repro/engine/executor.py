@@ -266,7 +266,7 @@ def run_grid(
     default (cheap grids are dominated by pool startup), parallel on
     request, identical results either way.  Bare
     :class:`MachineConfig` items are coerced to default-backend
-    (``untimed-vec``) scenarios.
+    (``untimed``) scenarios.
     """
     coerced = [
         s if isinstance(s, Scenario) else Scenario(config=s)

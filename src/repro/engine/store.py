@@ -112,14 +112,14 @@ import time
 import warnings
 import zipfile
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .. import obs
-from ..backends.base import EvalOutcome, Scenario
+from ..backends.base import PROFILE_PREFIX, EvalOutcome, Scenario
 from ..core.stats import AccessStats
 from ..ir.loops import Program
 from ..ir.trace import TRACE_DIGEST_VERSION, Trace
@@ -294,8 +294,9 @@ class TraceKey:
 
 
 #: Version of the persisted result layout; a bump invalidates every
-#: cached outcome instead of misreading it.
-RESULT_FORMAT_VERSION = 1
+#: cached outcome instead of misreading it.  Version 2: ``untimed`` is
+#: the columnar engine, whose outcomes carry ``vec_fallback_pes``.
+RESULT_FORMAT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -1491,6 +1492,14 @@ class TraceStore:
         self._release("result", key.ref)
 
     def put_result(self, key: ResultKey, outcome: EvalOutcome) -> Path:
+        # Physics only: REPRO_PROFILE's wall times belong to the run
+        # that measured them, not to the point.
+        metrics = {
+            name: value
+            for name, value in outcome.metrics.items()
+            if not name.startswith(PROFILE_PREFIX)
+        }
+        outcome = replace(outcome, metrics=metrics)
         with self._lock:
             self._result_memory[key] = outcome
         path = _save_outcome(self.result_path_for(key), outcome)

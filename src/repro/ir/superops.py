@@ -16,9 +16,9 @@ statement ids, same written arrays, affine write/read addresses,
 identical read structure) and truncated to the longest prefix of trips
 that verifies, so ``compact(trace).expand()`` reproduces the original
 trace bit-for-bit — dtypes included.  Imperfect tails and interludes
-stay in the residual.  The replay engines
-(:mod:`repro.core.superop_replay`, ``TimedMachine.run_compacted``)
-exploit the closed form; the store format v2
+stay in the residual.  The untimed replay engine
+(:mod:`repro.core.superop_replay`) exploits the closed form; the timed
+machine replays the expanded trace.  The store format v2
 (:meth:`repro.ir.trace.Trace.save`) persists it at O(unique behavior)
 size.
 """

@@ -64,7 +64,7 @@ from .event import EventQueue
 from .network import Topology, make_topology
 from .pe import CostModel, PEState
 
-__all__ = ["TimedMachine", "TimedResult", "run_compacted", "serial_time"]
+__all__ = ["TimedMachine", "TimedResult", "serial_time"]
 
 Cell = int  # composite (array_id << 44) | flat
 
@@ -549,167 +549,6 @@ class TimedMachine:
             return
         for contributor in remotes:
             gather(contributor)
-
-
-def _analytic_ok(superops, config: MachineConfig, costs: CostModel, mode: str) -> bool:
-    """Can a super-op trace be timed analytically, bit-identically?
-
-    The closed form multiplies steady-state charges by trip counts,
-    which is exact only when the event machine degenerates to
-    independent per-PE arithmetic:
-
-    * ``blocking`` mode — one outstanding fetch, the PE's local clock
-      is a pure sum of charges;
-    * no link occupancy — ``transmit`` is synchronous accounting, so
-      no event from one PE can delay another;
-    * a page cache — the cacheless machine re-fetches per read, whose
-      page bookkeeping the untimed engine also declines to collapse;
-    * no array both written and read — rules out deferred reads,
-      refetches and snapshot invalidation (every read's cell is
-      initialisation data, available at t=0), and keeps PEs causally
-      independent;
-    * no subrange reductions (the combine gather is a cross-PE event
-      cascade);
-    * nonnegative cost fields that are multiples of 1/8 — every charge
-      is then a dyadic rational, every partial sum in either engine is
-      exactly representable, so *any* summation order reproduces the
-      event order bit for bit.
-    """
-    if mode != "blocking" or not config.has_cache:
-        return False
-    if costs.contended and costs.link_bandwidth != float("inf"):
-        return False
-    if config.reduction_strategy == "subrange" and superops.has_reductions:
-        return False
-    for value in (
-        costs.compute_per_statement,
-        costs.local_read,
-        costs.cached_read,
-        costs.write,
-        costs.request_overhead,
-        costs.reply_overhead,
-        costs.per_hop,
-        costs.per_element,
-    ):
-        if value < 0 or not float(value * 8).is_integer():
-            return False
-    written: set[int] = set(np.unique(superops.f_w_arr).tolist())
-    read: set[int] = set(np.unique(superops.f_r_arr).tolist())
-    for op in superops.ops:
-        written.update(np.unique(op.b_w_arr).tolist())
-        read.update(np.unique(op.b_r_arr).tolist())
-    return not (written & read)
-
-
-def run_compacted(
-    trace: Trace,
-    superops,
-    config: MachineConfig,
-    *,
-    topology: str | Topology = "crossbar",
-    costs: CostModel | None = None,
-    mode: str = "blocking",
-    max_outstanding: int = 4,
-) -> TimedResult:
-    """Timed result of ``trace`` using its super-op view analytically.
-
-    When :func:`_analytic_ok` holds, the timed machine's charges
-    decompose into independent per-PE sums: the super-op replay engine
-    (:func:`repro.core.superop_replay.replay_superops`) produces the
-    exact per-(PE, array) hit counts and per-(PE, page) miss counts,
-    and N steady-state iterations are charged as count x latency —
-    bit-identical to the event loop because every addend is an exactly
-    representable dyadic float.  Otherwise this falls back to the full
-    :class:`TimedMachine` on the flat trace.
-    """
-    from ..core.superop_replay import TimedLedger, replay_superops
-
-    costs = costs if costs is not None else CostModel()
-    if not _analytic_ok(superops, config, costs, mode):
-        return TimedMachine(
-            trace,
-            config,
-            topology=topology,
-            costs=costs,
-            mode=mode,
-            max_outstanding=max_outstanding,
-        ).run()
-    topo = (
-        topology
-        if isinstance(topology, Topology)
-        else make_topology(topology, config.n_pes)
-    )
-    if topo.n_pes != config.n_pes:
-        raise ValueError("topology size disagrees with config")
-    tables = [PageTable(size, config.page_size) for size in trace.array_sizes]
-
-    ledger = TimedLedger(config.n_pes, len(trace.array_names))
-    with _phase("superop_replay"):
-        replay_superops(superops, config, ledger=ledger)
-
-    stats = AccessStats(config.n_pes, trace.array_names)
-    busy = np.zeros(config.n_pes, dtype=np.float64)
-    stall = np.zeros(config.n_pes, dtype=np.float64)
-    per_instance = costs.compute_per_statement + costs.write
-    with _phase("analytic"):
-        for pe in range(config.n_pes):
-            writes = int(ledger.writes[pe])
-            if writes:
-                stats.add(pe, AccessKind.WRITE, writes)
-                busy[pe] += writes * per_instance
-            for arr in np.flatnonzero(ledger.local[pe]).tolist():
-                n = int(ledger.local[pe, arr])
-                stats.add(pe, AccessKind.LOCAL_READ, n, array_id=arr)
-                busy[pe] += n * costs.local_read
-            for arr in np.flatnonzero(ledger.cached[pe]).tolist():
-                n = int(ledger.cached[pe, arr])
-                stats.add(pe, AccessKind.CACHED_READ, n, array_id=arr)
-                busy[pe] += n * costs.cached_read
-        messages = 0
-        total_hops = 0
-        route_cache: dict[tuple[int, int], tuple[int, list]] = {}
-
-        def route_of(src: int, dst: int) -> tuple[int, list]:
-            entry = route_cache.get((src, dst))
-            if entry is None:
-                entry = (topo.hops(src, dst), topo.route(src, dst))
-                route_cache[(src, dst)] = entry
-            return entry
-
-        for (pe, arr, page), count in ledger.misses.items():
-            owner = config.partition.owner_of(
-                page, tables[arr].n_pages, config.n_pes
-            )
-            page_elems = tables[arr].elements_in_page(page)
-            req_hops, req_route = route_of(pe, owner)
-            rep_hops, rep_route = route_of(owner, pe)
-            latency = costs.request_latency(req_hops) + costs.reply_latency(
-                rep_hops, page_elems
-            )
-            stats.add(pe, AccessKind.REMOTE_READ, count, array_id=arr)
-            busy[pe] += count * latency
-            stall[pe] += count * latency
-            messages += 2 * count
-            total_hops += count * (req_hops + rep_hops)
-            for link in req_route + rep_route:
-                key = (min(link), max(link))
-                topo.link_traffic[key] = (
-                    topo.link_traffic.get(key, 0) + count
-                )
-    return TimedResult(
-        config=config,
-        topology=topo.name,
-        mode=mode,
-        finish_time=float(busy.max(initial=0.0)),
-        per_pe_finish=busy,
-        stats=stats,
-        stall_time=stall,
-        messages=messages,
-        total_hops=total_hops,
-        refetches=0,
-        deferred_reads=0,
-        contention=topo.contention_summary(),
-    )
 
 
 def serial_time(trace: Trace, costs: CostModel | None = None) -> float:

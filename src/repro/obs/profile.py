@@ -1,9 +1,11 @@
 """Per-phase replay profiling hooks.
 
-The untimed simulator and the timed machine mark their phases with
-:func:`phase` — interpret / classify / cache_sim / reduction on the
-untimed side, setup / event_loop on the timed side.  A phase does two
-independent things, each only when someone is listening:
+The replay engines and the timed machine mark their phases with
+:func:`phase` — classify_vec / cache_sim_vec / fallback_scalar in the
+columnar engine behind the ``untimed`` backend, classify / cache_sim /
+reduction in the scalar oracle and super-op replay, setup / event_loop
+on the timed side.  A phase does two independent things, each only
+when someone is listening:
 
 * accumulate wall seconds into the thread-local collector opened by
   :func:`collect` (how per-record ``profile_<phase>_s`` metric columns
@@ -13,9 +15,10 @@ independent things, each only when someone is listening:
 
 With neither active, :func:`phase` returns a shared no-op context
 manager after two cheap checks — the hot loop stays unperturbed.
-Collection is switched on per-evaluation by the backends when the
-``REPRO_PROFILE`` environment variable is set (see :func:`enabled`)
-or programmatically via :func:`collect`.
+Collection is switched on per-evaluation by
+:func:`repro.backends.evaluate_scenario` when the ``REPRO_PROFILE``
+environment variable is set (see :func:`enabled`), or programmatically
+via :func:`collect`.
 """
 
 from __future__ import annotations

@@ -12,8 +12,9 @@ in the trace (the istructure-defer pattern).
 
 Two consumers with different validity envelopes share these:
 
-* ``test_vec_fidelity.py`` (untimed vs untimed-vec) replays traces on
-  order-free engines, so it draws ``traces()`` unconstrained;
+* ``test_vec_fidelity.py`` (the columnar engine vs the scalar
+  oracle) replays traces on order-free engines, so it draws
+  ``traces()`` unconstrained;
 * ``test_timed_fidelity.py`` replays on the discrete-event machine,
   where a read can park forever if its producer never completes, so it
   draws ``traces(timed_safe=True)``: single-assignment writes, and

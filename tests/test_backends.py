@@ -12,6 +12,7 @@ from repro.backends import (
     Scenario,
     UnsupportedScenarioError,
     backend_names,
+    canonical_backend,
     cost_model,
     cost_model_names,
     evaluate_scenario,
@@ -48,13 +49,8 @@ def _smuggled_reduction_scenario(
 
 class TestRegistry:
     def test_builtins_registered(self):
-        assert backend_names() == (
-            "timed",
-            "untimed",
-            "untimed-vec",
-        )
+        assert backend_names() == ("timed", "untimed")
         assert get_backend("untimed").name == "untimed"
-        assert get_backend("untimed-vec").name == "untimed-vec"
         assert get_backend("timed").scenario_axes == (
             "topologies",
             "modes",
@@ -64,6 +60,11 @@ class TestRegistry:
     def test_unknown_backend(self):
         with pytest.raises(KeyError, match="unknown backend"):
             get_backend("quantum")
+
+    def test_untimed_vec_is_a_spelling_of_untimed(self):
+        assert get_backend("untimed-vec") is get_backend("untimed")
+        assert canonical_backend("untimed-vec") == "untimed"
+        assert canonical_backend("quantum") == "quantum"
 
     def test_register_rejects_duplicates(self):
         with pytest.raises(ValueError, match="already registered"):
@@ -124,10 +125,20 @@ class TestCostModels:
 
 class TestScenario:
     def test_defaults_are_untimed_vec(self):
+        """The default backend is ``untimed``: the columnar engine."""
         s = Scenario(config=config())
-        assert s.backend == "untimed-vec"
+        assert s.backend == "untimed"
         assert s.topology == "crossbar"
-        assert s.label().startswith("untimed-vec ")
+        assert s.label().startswith("untimed ")
+        assert "vec_fallback_pes" in get_backend(s.backend).result_schema
+        assert Scenario.from_dict({"config": config().to_dict()}) == s
+
+    def test_backend_alias_canonicalised(self):
+        a = Scenario(config=config(), backend="untimed-vec")
+        b = Scenario(config=config(), backend="untimed")
+        assert a == b
+        assert a.digest == b.digest
+        assert a.to_dict()["backend"] == "untimed"
 
     def test_topology_alias_canonicalised(self):
         a = Scenario(config=config(), backend="timed", topology="mesh")

@@ -141,9 +141,10 @@ class TestCommands:
         assert "multithreaded" in out
 
     def test_sweep_untimed_vec_backend(self, capsys):
-        """The columnar engine, end to end through the CLI.  It is the
-        default backend now, and series-friendly: a plain sweep keeps
-        the paper's figure-style table."""
+        """The columnar engine, end to end through the CLI, under its
+        old spelling: ``untimed-vec`` resolves to the default
+        ``untimed`` backend, which is series-friendly — a plain sweep
+        keeps the paper's figure-style table."""
         assert (
             main(
                 [
@@ -221,7 +222,7 @@ class TestCommands:
         assert len(document["campaigns"]) == 2
         assert document["service"]["completed_total"] >= 1
         for campaign in document["campaigns"]:
-            assert campaign["backend"] == "untimed-vec"  # the spec default
+            assert campaign["backend"] == "untimed"  # the spec default
             assert campaign["executor"].startswith("service[")
 
     def test_serve_runs_each_spec_on_its_own_backend(self, capsys, tmp_path):

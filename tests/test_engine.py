@@ -105,7 +105,7 @@ class TestRunGrid:
         ]
         results = run_grid(hydro_trace, configs)
         assert [r.config for r in results] == configs
-        assert all(r.backend == "untimed-vec" for r in results)
+        assert all(r.backend == "untimed" for r in results)
 
     def test_parallel_matches_serial(self, hydro_trace):
         configs = [
@@ -239,7 +239,7 @@ class TestCampaignResult:
     def test_json_export(self, result, tmp_path):
         data = json.loads(result.to_json())
         assert data["campaign"]["name"] == "acceptance"
-        assert data["backend"] == "untimed-vec"
+        assert data["backend"] == "untimed"
         assert len(data["results"]) == 48
         row = data["results"][0]
         for column in (
@@ -254,7 +254,7 @@ class TestCampaignResult:
             "page_fetches",
         ):
             assert column in row
-        assert row["backend"] == "untimed-vec"
+        assert row["backend"] == "untimed"
         path = result.save_json(tmp_path / "out.json")
         assert json.loads(path.read_text()) == data
 

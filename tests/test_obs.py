@@ -467,15 +467,13 @@ class TestCampaignIntegration:
         """Acceptance: one campaign run through an evaluation service
         with the sink on yields a merged JSONL whose span tree covers
         build -> cache -> evaluate for every grid point."""
-        from dataclasses import replace
-
         from repro.engine import EvalService, TraceStore, run_campaign
 
         service = EvalService(workers=0)
         try:
             stem = tmp_path / "svc-events"
             obs.configure(f"jsonl:{stem}")
-            spec = replace(self.small_spec("obs-svc"), backend="untimed")
+            spec = self.small_spec("obs-svc")
             store = TraceStore(tmp_path / "store")
             result = run_campaign(spec, store=store, service=service)
             merged = obs.merge()
@@ -493,17 +491,17 @@ class TestCampaignIntegration:
             names = [s["name"] for s in spans]
             assert names.count("store.build_trace") == 1
             assert names.count("engine.evaluate") == spec.n_points
-            # Each evaluation span wraps the simulator's phase spans.
+            # Each evaluation span wraps the columnar engine's phases.
             evaluate_ids = {
                 s["span_id"] for s in spans if s["name"] == "engine.evaluate"
             }
-            reduction_parents = {
+            classify_parents = {
                 s["parent_id"]
                 for s in spans
-                if s["name"] == "phase.reduction"
+                if s["name"] == "phase.classify_vec"
             }
-            assert reduction_parents <= evaluate_ids
-            assert len(reduction_parents) == spec.n_points
+            assert classify_parents <= evaluate_ids
+            assert len(classify_parents) == spec.n_points
             assert len(result) == spec.n_points
             service_stats = service.stats()
             assert service_stats["completed_total"] == spec.n_points

@@ -210,6 +210,48 @@ class TestCampaignResultCache:
         assert evaluation_count() == before + timed.spec.n_points
         assert all(r.backend == "timed" for r in timed)
 
+    def test_alias_spellings_share_one_result(self, tmp_path):
+        """``untimed-vec`` is a spelling of ``untimed``: a campaign
+        declared either way fills and hits the same result keys."""
+        first = run_campaign(
+            small_spec("untimed-vec"), store=TraceStore(tmp_path), parallel=False
+        )
+        before = evaluation_count()
+        again = run_campaign(
+            small_spec("untimed"), store=TraceStore(tmp_path), parallel=False
+        )
+        assert evaluation_count() == before
+        n = again.spec.n_points
+        assert f"cache[{n}/{n}]" in again.executor
+        assert again.identical(first)
+
+    def test_profiled_run_does_not_poison_the_cache(
+        self, tmp_path, monkeypatch
+    ):
+        """``REPRO_PROFILE``'s wall-time columns stay with the run that
+        measured them: the store persists physics only, so a later
+        unprofiled run replays what a fresh unprofiled run computes."""
+        spec = CampaignSpec(
+            name="profiled",
+            kernels=(KernelSpec("first_diff", n=64),),
+            pes=(1, 2),
+            page_sizes=(16,),
+            cache_elems=(0, 64),
+        )
+        store = TraceStore(tmp_path / "s")
+        monkeypatch.setenv("REPRO_PROFILE", "1")
+        profiled = run_campaign(spec, store=store, parallel=False)
+        assert "profile_classify_vec_s" in profiled.records[0].outcome.metrics
+        monkeypatch.delenv("REPRO_PROFILE")
+        fresh = run_campaign(
+            spec, store=TraceStore(tmp_path / "fresh"), parallel=False
+        )
+        # The same store object (memory tier) and a new one (disk tier).
+        for replayed_from in (store, TraceStore(tmp_path / "s")):
+            again = run_campaign(spec, store=replayed_from, parallel=False)
+            assert f"cache[{spec.n_points}/{spec.n_points}]" in again.executor
+            assert again.identical(fresh)
+
     def test_failed_construction_releases_claims(self, tmp_path):
         """A stream whose construction dies after claiming points must
         release them, or peers would block on events nobody sets."""

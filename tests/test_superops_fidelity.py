@@ -1,15 +1,15 @@
 """The generative cyclic-trace fidelity wall for super-op replay.
 
 ``repro.ir.superops`` collapses repeated affine access-pattern bodies
-into parameterized super-ops; three engines then execute a super-op in
-one step instead of ``trip_count``: the scalar/columnar untimed
-engines via :func:`repro.core.superop_replay.replay_superops` (misses
-decided once per steady-state window, with an explicit scalar trip
-loop for bodies that reach no cache fixed point) and the timed machine
-via :func:`repro.machine.msim.run_compacted` (N iterations of
-steady-state latency charged analytically).  None of that is allowed
-to be *visible*: every counter, latency and message count must equal
-the flat replay bit for bit.
+into parameterized super-ops; the ``untimed`` backend then executes a
+super-op in one step instead of ``trip_count`` via
+:func:`repro.core.superop_replay.replay_superops` (misses decided once
+per steady-state window, with an explicit scalar trip loop for bodies
+that reach no cache fixed point).  None of that is allowed to be
+*visible*: every counter must equal the flat replay's — the scalar
+oracle :func:`repro.core.simulator.simulate` and the columnar engine
+alike — bit for bit.  The timed machine always replays the expanded
+trace, so attaching super-ops must leave its outcomes unchanged.
 
 This suite holds the whole stack to that contract generatively —
 ``tests/strategies.py`` draws traces with reductions, future reads,
@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.backends import Scenario, evaluate_scenario
 from repro.bench import kernel_trace
@@ -33,8 +32,6 @@ from repro.core.superop_replay import replay_superops
 from repro.ir import TraceBuilder
 from repro.ir.superops import SuperOpTrace, compact
 from repro.kernels import get_kernel
-from repro.machine import CostModel, TimedMachine
-from repro.machine.msim import run_compacted
 from strategies import cyclic_traces, machine_configs, sweep_traces
 
 # Local floor of 200 generated examples; the nightly ci-deep profile
@@ -50,20 +47,6 @@ def assert_sim_identical(flat, compacted) -> None:
     assert np.array_equal(
         flat.distinct_pages_fetched, compacted.distinct_pages_fetched
     )
-
-
-def assert_timed_identical(flat, compacted) -> None:
-    """Bit-exact equality of everything a TimedResult reports."""
-    assert flat.finish_time == compacted.finish_time
-    assert np.array_equal(flat.per_pe_finish, compacted.per_pe_finish)
-    assert np.array_equal(flat.stall_time, compacted.stall_time)
-    assert np.array_equal(flat.stats.counts, compacted.stats.counts)
-    assert np.array_equal(flat.stats.by_array, compacted.stats.by_array)
-    assert flat.messages == compacted.messages
-    assert flat.total_hops == compacted.total_hops
-    assert flat.refetches == compacted.refetches
-    assert flat.deferred_reads == compacted.deferred_reads
-    assert flat.contention == compacted.contention
 
 
 class TestCompactExpand:
@@ -169,39 +152,6 @@ class TestClosedFormCoverage:
             replay_superops(sot, config, telemetry=telemetry),
         )
         assert telemetry["superop_piece_pes"] > 0
-
-
-class TestTimedFidelity:
-    """run_compacted == TimedMachine on timed-valid cyclic traces,
-    through both the analytic fast path and the event-loop fallback."""
-
-    @settings(max_examples=_EXAMPLES, deadline=None)
-    @given(
-        trace=cyclic_traces(timed_safe=True),
-        config=machine_configs(max_pes=8),
-        topology=st.sampled_from(("crossbar", "ring", "bus")),
-    )
-    def test_timed_bit_identical(self, trace, config, topology):
-        sot = compact(trace, min_trips=2, max_period=8)
-        flat = TimedMachine(trace, config, topology=topology).run()
-        assert_timed_identical(
-            flat, run_compacted(trace, sot, config, topology=topology)
-        )
-
-    @settings(max_examples=60, deadline=None)
-    @given(
-        trace=cyclic_traces(timed_safe=True),
-        config=machine_configs(max_pes=8),
-    )
-    def test_non_dyadic_costs_fall_back(self, trace, config):
-        """Costs outside the exact-float guard take the event loop —
-        trivially identical, but the dispatch must stay lossless."""
-        costs = CostModel(per_element=0.3)
-        sot = compact(trace, min_trips=2, max_period=8)
-        flat = TimedMachine(trace, config, costs=costs).run()
-        assert_timed_identical(
-            flat, run_compacted(trace, sot, config, costs=costs)
-        )
 
 
 class TestStoreFormatV2:
@@ -330,14 +280,15 @@ class TestDetector:
 
 
 class TestBackendDispatch:
-    """Attached super-ops reroute all three backends, invisibly."""
+    """Attached super-ops reroute the untimed backend invisibly and
+    leave the timed backend's outcomes unchanged."""
 
     @pytest.fixture(scope="class")
     def stencil(self):
         program, inputs = get_kernel("hydro_fragment").build(n=300)
         return kernel_trace(program, inputs)
 
-    @pytest.mark.parametrize("backend", ["untimed", "untimed-vec", "timed"])
+    @pytest.mark.parametrize("backend", ["untimed", "timed"])
     def test_outcomes_bit_identical(self, stencil, backend):
         config = MachineConfig(n_pes=8, page_size=16, cache_elems=64)
         scenario = Scenario(config=config, backend=backend)

@@ -1,19 +1,19 @@
-"""Generative differential fidelity: ``untimed`` vs ``untimed-vec``.
+"""Generative differential fidelity: ``simulate_vec`` vs ``simulate``.
 
-The columnar replay engine earns its registration by being
-indistinguishable from the scalar engine on *every counter it is
+The columnar replay engine behind the ``untimed`` backend earns its
+place by being indistinguishable from the scalar oracle,
+:func:`repro.core.simulator.simulate`, on *every counter it is
 allowed to report*: the four access categories (per PE and per
 array), page fetches and distinct fetched pages, per PE.  This suite
 holds it to that contract generatively — hypothesis draws whole
 synthetic traces and machine configurations from
 ``tests/strategies.py`` (kernels x cache policies x partitions x
 reduction strategies, istructure-style future reads included) — plus
-a grid of real paper kernels, the backend-level outcome comparison,
-and the unsupported-scenario backstops.
+a grid of real paper kernels, the backend-level outcome comparison
+against the oracle, and the unsupported-scenario backstops.
 
-Flipping the engine default later is a one-line change precisely
-because this file exists; the nightly ``vec-fuzz`` CI job re-runs it
-under the ``ci-deep`` hypothesis profile (see ``tests/conftest.py``).
+The nightly ``vec-fuzz`` CI job re-runs it under the ``ci-deep``
+hypothesis profile (see ``tests/conftest.py``).
 """
 
 from __future__ import annotations
@@ -69,20 +69,18 @@ class TestGenerativeFidelity:
     @settings(max_examples=60, deadline=None)
     @given(trace=traces(), scenario=scenarios())
     def test_backend_outcomes_bit_identical(self, trace, scenario):
-        """Same property one layer up, through the registry: stats,
-        per-PE arrays and the shared metric columns all agree."""
-        from dataclasses import replace
-
-        scalar = evaluate_scenario(trace, scenario)
-        vec = evaluate_scenario(
-            trace, replace(scenario, backend="untimed-vec")
-        )
-        assert np.array_equal(scalar.stats.counts, vec.stats.counts)
-        assert np.array_equal(scalar.stats.by_array, vec.stats.by_array)
+        """Same property one layer up: the ``untimed`` backend, through
+        the registry, against the oracle — stats, per-PE arrays and the
+        shared metric columns all agree."""
+        oracle = simulate(trace, scenario.config)
+        outcome = evaluate_scenario(trace, scenario)
+        assert np.array_equal(oracle.stats.counts, outcome.stats.counts)
+        assert np.array_equal(oracle.stats.by_array, outcome.stats.by_array)
         for name in ("page_fetches", "distinct_pages_fetched"):
-            assert scalar.metrics[name] == vec.metrics[name]
-            assert np.array_equal(scalar.per_pe[name], vec.per_pe[name])
-        assert "vec_fallback_pes" in vec.metrics
+            values = getattr(oracle, name)
+            assert np.array_equal(values, outcome.per_pe[name])
+            assert outcome.metrics[name] == float(values.sum())
+        assert "vec_fallback_pes" in outcome.metrics
 
 
 KERNELS = (
@@ -345,7 +343,7 @@ class TestFifoFixedPoint:
 
 class TestBackendEnvelope:
     def test_registered_with_schema(self):
-        backend = get_backend("untimed-vec")
+        backend = get_backend("untimed")
         assert backend.supported_reductions == ("host", "subrange")
         assert "vec_fallback_pes" in backend.result_schema
         assert backend.scenario_axes == ()
@@ -354,17 +352,13 @@ class TestBackendEnvelope:
         config = MachineConfig(n_pes=4, page_size=32, cache_elems=64)
         object.__setattr__(config, "cache_policy", "plru")
         with pytest.raises(UnsupportedScenarioError, match="plru"):
-            evaluate_scenario(
-                hydro_trace, Scenario(config=config, backend="untimed-vec")
-            )
+            evaluate_scenario(hydro_trace, Scenario(config=config))
 
     def test_smuggled_reduction_strategy_is_unsupported(self, hydro_trace):
         config = MachineConfig(n_pes=4, page_size=32)
         object.__setattr__(config, "reduction_strategy", "tree")
-        with pytest.raises(UnsupportedScenarioError, match="untimed-vec"):
-            evaluate_scenario(
-                hydro_trace, Scenario(config=config, backend="untimed-vec")
-            )
+        with pytest.raises(UnsupportedScenarioError, match="'untimed'"):
+            evaluate_scenario(hydro_trace, Scenario(config=config))
 
     def test_profile_adds_vec_phase_columns(self, hydro_trace, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
@@ -375,7 +369,7 @@ class TestBackendEnvelope:
             n_pes=2, page_size=4, cache_elems=8, cache_policy="random"
         )
         outcome = evaluate_scenario(
-            _thrashing_trace(), Scenario(config=config, backend="untimed-vec")
+            _thrashing_trace(), Scenario(config=config)
         )
         assert "profile_classify_vec_s" in outcome.metrics
         assert "profile_cache_sim_vec_s" in outcome.metrics

@@ -1,9 +1,9 @@
 #!/usr/bin/env python
-"""Columnar-replay speedup: ``untimed`` vs ``untimed-vec``, recorded.
+"""Columnar-replay speedup: ``simulate`` vs ``simulate_vec``, recorded.
 
 Times warm-store replay (the trace is built once and excluded from the
-timing — exactly the sweep-many regime the engine exists for) of both
-simulators over representative kernels, asserts the counters are
+timing — exactly the sweep-many regime the engine exists for) of the
+scalar oracle and the columnar engine over representative kernels, asserts the counters are
 bit-identical on every case while doing so, and records the per-case
 wall seconds and speedups.  The committed ``BENCH_vec.json`` is the
 performance evidence for the columnar engine: its headline case must
