@@ -159,7 +159,9 @@ def test_trace_store_warm(benchmark, tmp_path):
 
 
 #: The concurrent-campaign case: three campaigns over one kernel's
-#: trace, distinct grids so nothing dedups away, 28 points each.
+#: trace, 28 points each, run with the result cache off.  Their
+#: cache-0 points overlap; both sides evaluate every point of every
+#: campaign, so the comparison is pool against pool, not a dedup.
 def _concurrent_specs() -> list[CampaignSpec]:
     return [
         CampaignSpec(

@@ -31,7 +31,8 @@ subcommand runs several campaigns *concurrently* over one evaluation
 service: a single resident worker pool with a bounded job queue
 executes every campaign — instead of one forked pool each — each on
 the backend its spec declares, and a stats table shows what the
-sharing did (jobs, dedup hits, queue high-water).
+sharing did (jobs submitted and completed, pool launches, queue
+high-water).
 """
 
 from __future__ import annotations

@@ -4,13 +4,12 @@ The unit of work is one ``evaluate_scenario(trace, scenario)`` call —
 pure, deterministic, and independent of every other point, so a
 campaign fans out embarrassingly across cores whatever the backend.
 Traces are loaded (or pulled from the :mod:`store
-<repro.engine.store>`) exactly once in the parent and *shared* with
-the workers: under the ``fork`` start method the worker pool inherits
-the parent's trace table copy-on-write, paying zero serialisation
-cost; under ``spawn``/``forkserver`` the table is shipped once per
-worker through the pool initializer.  Serial execution never touches
-shared state, so any number of campaigns/streams can be in flight in
-one process.
+<repro.engine.store>`) exactly once in the parent and handed to the
+workers as pool initializer arguments: under the ``fork`` start
+method each worker inherits them copy-on-write, paying zero
+serialisation cost; under ``spawn``/``forkserver`` they are pickled
+once per worker.  Each pool carries its own traces, so any number of
+campaigns/streams can be in flight in one process.
 
 Jobs carry their position in the spec's canonical enumeration and
 results are reassembled by that index, so the parallel executor
@@ -57,7 +56,6 @@ import os
 import time
 import uuid
 import warnings
-from itertools import count
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from .. import obs
@@ -80,21 +78,11 @@ if TYPE_CHECKING:
 
 __all__ = ["CampaignStream", "default_workers", "run_campaign", "run_grid"]
 
-#: Traces published to pool workers, keyed by "<launch>:<label>" so
-#: concurrent parallel campaigns never collide.  A launch's entries
-#: live exactly as long as its pool (fork children — including
-#: replacements for workers that die mid-run — inherit the table
-#: copy-on-write at fork time; spawn children receive it through
-#: ``_init_worker``) and are removed when the pool closes.
-_SHARED_TRACES: dict[str, Trace] = {}
-
-#: Worker-side (touch_dir, tag) for access logging; set by
-#: the pool initializer (it runs in every worker, whatever the start
-#: method), never in the parent.
+#: Worker-side trace table and (touch_dir, tag) for access logging;
+#: set by the pool initializer (it runs in every worker, whatever the
+#: start method), never in the parent.
+_WORKER_TRACES: dict[str, Trace] = {}
 _WORKER_TOUCH: tuple[str, str] | None = None
-
-#: Distinguishes concurrent launches in ``_SHARED_TRACES``.
-_launch_ids = count()
 
 #: A job is (canonical index, trace label, trace ref, scenario); the
 #: ref names the stored trace the job evaluates ("" when
@@ -108,21 +96,19 @@ def default_workers() -> int:
 
 
 def _init_worker(
-    traces: dict[str, Trace] | None, touch: tuple[str, str] | None
+    traces: dict[str, Trace], touch: tuple[str, str] | None
 ) -> None:
-    global _WORKER_TOUCH
+    global _WORKER_TRACES, _WORKER_TOUCH
+    _WORKER_TRACES = traces
     _WORKER_TOUCH = touch
-    if traces is not None:  # spawn/forkserver: table arrives pickled
-        _SHARED_TRACES.clear()
-        _SHARED_TRACES.update(traces)
 
 
 def _eval_job(job: _Job) -> tuple[int, EvalOutcome, float]:
-    """Pool-worker entry point: evaluate against the inherited table."""
+    """Pool-worker entry point: evaluate against the worker's traces."""
     index, label, ref, scenario = job
     t0 = time.perf_counter()
     with obs.span("engine.evaluate", index=index):
-        outcome = evaluate_scenario(_SHARED_TRACES[label], scenario)
+        outcome = evaluate_scenario(_WORKER_TRACES[label], scenario)
     wall = time.perf_counter() - t0
     if _WORKER_TOUCH is not None and ref:
         touch_dir, tag = _WORKER_TOUCH
@@ -141,36 +127,17 @@ def _iter_parallel(
 ) -> Iterator[tuple[int, EvalOutcome, float]]:
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else None)
-    fork = ctx.get_start_method() == "fork"
     chunksize = max(1, len(jobs) // (workers * 4))
-    # Namespace this launch's table entries and keep them published for
-    # the pool's whole lifetime, so replacement workers forked after a
-    # worker death still inherit a complete table while concurrent
-    # launches cannot collide.
-    launch = next(_launch_ids)
-    namespaced = {f"{launch}:{label}": t for label, t in traces.items()}
-    jobs = [
-        (index, f"{launch}:{label}", ref, scenario)
-        for index, label, ref, scenario in jobs
-    ]
-    initargs = (None, touch) if fork else (namespaced, touch)
-    _SHARED_TRACES.update(namespaced)
-    try:
-        pool = ctx.Pool(
-            processes=workers, initializer=_init_worker, initargs=initargs
-        )
-    except BaseException:
-        for key in namespaced:
-            _SHARED_TRACES.pop(key, None)
-        raise
+    # The traces ride in the initializer arguments: fork children
+    # (replacements for workers that die mid-run included) inherit
+    # them copy-on-write, spawn children unpickle them once each.
+    pool = ctx.Pool(
+        processes=workers, initializer=_init_worker, initargs=(traces, touch)
+    )
 
     def results() -> Iterator[tuple[int, EvalOutcome, float]]:
-        try:
-            with pool:
-                yield from pool.imap_unordered(_eval_job, jobs, chunksize)
-        finally:
-            for key in namespaced:
-                _SHARED_TRACES.pop(key, None)
+        with pool:
+            yield from pool.imap_unordered(_eval_job, jobs, chunksize)
 
     return results()
 

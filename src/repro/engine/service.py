@@ -9,7 +9,7 @@ requests.  A caller builds one, hands it to every campaign
 (``run_campaign(spec, service=svc)``) and closes it when done.  Each
 campaign looks up and claims its points in the store exactly as a
 serial run does, then submits its remaining jobs into a *bounded*
-queue; a small set of asyncio dispatchers drains it into the shared
+queue; one dispatcher thread per worker slot drains it into the shared
 process pool.
 
 Scheduling is all the service adds.  Every job is evaluated by the
@@ -29,16 +29,18 @@ What sharing buys:
 * **traces** — store-backed jobs ship only the trace's ``.npz`` path;
   each worker loads it once and memoises it, so ten campaigns over the
   same kernel share one in-worker copy instead of pickling the trace
-  into ten pools;
-* **results** — in-flight deduplication: two submissions of the same
-  ``(trace, scenario)`` point share one future and one evaluation
-  (``shared`` in the stats), on top of the store's claim/lease
-  machinery.
+  into ten pools.
+
+The service does not deduplicate: the store's claims do.  Planning
+claims every point a campaign will compute, so a point two campaigns
+share is submitted once, by whichever claimed it first; with
+``use_cache=False`` nothing is claimed and each campaign evaluates its
+own points, exactly as its serial run would.
 
 Degradation mirrors the campaign executor: when worker processes
 cannot be created or break (restricted sandboxes; stdin/REPL-driven
 ``__main__`` modules that forkserver/spawn workers cannot re-import),
-jobs run inline on the service thread — slower, bit-identical, and
+jobs run inline on the dispatcher threads — slower, bit-identical, and
 the bounded queue still provides admission control.  The pool
 deliberately never uses ``fork``: it launches lazily from a process
 that is multi-threaded by construction, where a forked child could
@@ -49,10 +51,8 @@ needs ``workers=0``.
 
 from __future__ import annotations
 
-import asyncio
 import collections
 import concurrent.futures
-import contextlib
 import multiprocessing as mp
 import os
 import queue as queue_module
@@ -87,15 +87,13 @@ class TraceUnavailableError(RuntimeError):
 class _FairQueue:
     """Bounded multi-campaign queue with round-robin dispatch order.
 
-    Admission stays global — ``maxsize`` jobs across all campaigns,
-    matching the old single ``asyncio.Queue`` semantics — but each
-    campaign queues into its own bucket and :meth:`get` serves the
-    buckets round-robin, one job at a time.  A grid that arrived
-    first no longer starves later arrivals behind its whole backlog;
-    with K campaigns queued, each is served every K-th dispatch.
+    Admission stays global — ``maxsize`` jobs across all campaigns —
+    but each campaign queues into its own bucket and :meth:`get` serves
+    the buckets round-robin, one job at a time.  A grid that arrived
+    first cannot starve later arrivals behind its whole backlog; with
+    K campaigns queued, each is served every K-th dispatch.
 
-    Runs entirely on the service's event loop thread (asyncio
-    primitives, no locks).
+    Thread-safe: submitters and dispatchers meet on one condition.
     """
 
     def __init__(self, maxsize: int):
@@ -103,19 +101,20 @@ class _FairQueue:
         self._size = 0
         self._buckets: dict[str, collections.deque] = {}
         self._rotation: collections.deque[str] = collections.deque()
-        self._cond = asyncio.Condition()
-
-    def qsize(self) -> int:
-        return self._size
+        self._cond = threading.Condition()
+        self._closed = False
 
     def campaigns(self) -> int:
         """Distinct campaigns currently queued (snapshot)."""
         return len(self._buckets)
 
-    async def put(self, campaign: str, item) -> None:
-        async with self._cond:
-            while self._size >= self._maxsize:
-                await self._cond.wait()
+    def put(self, campaign: str, item) -> int:
+        """Queue ``item``, blocking while full; returns the new depth."""
+        with self._cond:
+            while self._size >= self._maxsize and not self._closed:
+                self._cond.wait()
+            if self._closed:
+                raise RuntimeError("evaluation service is closed")
             bucket = self._buckets.get(campaign)
             if bucket is None:
                 bucket = self._buckets[campaign] = collections.deque()
@@ -123,11 +122,15 @@ class _FairQueue:
             bucket.append(item)
             self._size += 1
             self._cond.notify_all()
+            return self._size
 
-    async def get(self):
-        async with self._cond:
-            while self._size == 0:
-                await self._cond.wait()
+    def get(self):
+        """The next item, blocking while empty; ``None`` once closed."""
+        with self._cond:
+            while self._size == 0 and not self._closed:
+                self._cond.wait()
+            if self._closed:
+                return None
             # Invariant: every rotation entry has a non-empty bucket
             # (drained buckets are retired immediately below).
             campaign = self._rotation.popleft()
@@ -140,6 +143,21 @@ class _FairQueue:
             self._size -= 1
             self._cond.notify_all()
             return item
+
+    def close(self) -> list:
+        """Wake every waiter and return the queued backlog."""
+        with self._cond:
+            self._closed = True
+            backlog = [
+                item
+                for campaign in self._rotation
+                for item in self._buckets[campaign]
+            ]
+            self._buckets.clear()
+            self._rotation.clear()
+            self._size = 0
+            self._cond.notify_all()
+            return backlog
 
 
 # ---------------------------------------------------------------------------
@@ -203,21 +221,21 @@ def _run_job(payload: _Payload) -> EvalOutcome:
 
 
 class EvalService:
-    """A long-lived asyncio evaluation loop over one shared pool.
+    """A long-lived evaluation executor over one shared pool.
 
     ``workers`` is the resident pool's size (``None``: one per core;
-    ``0``: no pool — jobs run inline on the service thread, the
+    ``0``: no pool — jobs run inline on a dispatcher thread, the
     sandbox/degraded mode).  ``queue_size`` bounds the admission
-    queue: :meth:`submit` blocks once that many jobs are in flight,
+    queue: :meth:`submit` blocks once that many jobs are queued,
     which is what keeps a burst of campaigns from buffering their
     entire grids in memory.  Queued jobs dispatch round-robin across
-    campaigns, not strictly FIFO.
+    campaigns, not strictly FIFO, on one dispatcher thread per worker
+    slot.
 
     Thread-safe: any number of campaign threads may submit
-    concurrently; all coordination lives on the service's own event
-    loop.  Fork-unsafe by construction (the loop thread does not
-    survive into a forked child) — build the service in the process
-    that uses it, and :meth:`close` it when done.
+    concurrently.  Fork-unsafe by construction (the dispatcher threads
+    do not survive into a forked child) — build the service in the
+    process that uses it, and :meth:`close` it when done.
     """
 
     def __init__(
@@ -241,104 +259,52 @@ class EvalService:
             "submitted": 0,
             "completed": 0,
             "failed": 0,
-            "shared": 0,
             "queue_high_water": 0,
             "pool_launches": 0,
         }
-        #: in-flight dedup: (trace identity, scenario digest) -> future
-        self._inflight: dict[tuple[str, str], concurrent.futures.Future] = {}
-        self._ready = threading.Event()
-        self._loop = asyncio.new_event_loop()
-        self._queue: _FairQueue | None = None
-        self._thread = threading.Thread(
-            target=self._run_loop, name="repro-eval-service", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
+        self._queue = _FairQueue(queue_size)
+        self._threads = [
+            threading.Thread(
+                target=self._dispatch,
+                name=f"repro-eval-service-{slot}",
+                daemon=True,
+            )
+            for slot in range(max(self.workers, 1))
+        ]
+        for thread in self._threads:
+            thread.start()
 
-    # -- the loop --------------------------------------------------------------
-    def _run_loop(self) -> None:
-        asyncio.set_event_loop(self._loop)
-        self._queue = _FairQueue(self.queue_size)
-        for slot in range(max(self.workers, 1)):
-            self._loop.create_task(self._dispatch())
-        self._loop.call_soon(self._ready.set)
-        try:
-            self._loop.run_forever()
-        finally:
-            # Drain: cancel the dispatchers and let them unwind before
-            # closing, so interpreter shutdown sees no pending tasks.
-            tasks = asyncio.all_tasks(self._loop)
-            for task in tasks:
-                task.cancel()
-            if tasks:
-                self._loop.run_until_complete(
-                    asyncio.gather(*tasks, return_exceptions=True)
-                )
-            self._loop.close()
-
-    async def _enqueue(self, campaign: str, item) -> None:
-        queue = self._queue
-        assert queue is not None
-        await queue.put(campaign, item)
-        high_water = None
-        with self._lock:
-            if queue.qsize() > self._stats["queue_high_water"]:
-                self._stats["queue_high_water"] = queue.qsize()
-                high_water = queue.qsize()
-        if high_water is not None:
-            obs.emit("service.queue_high_water", value=high_water)
-
-    async def _dispatch(self) -> None:
-        """One dispatcher: drain the queue into the shared pool."""
-        queue = self._queue
-        assert queue is not None
+    # -- dispatch --------------------------------------------------------------
+    def _dispatch(self) -> None:
+        """One dispatcher: run queued jobs until the queue closes."""
         while True:
-            payload, future = await queue.get()
-            try:
-                if not future.set_running_or_notify_cancel():
-                    continue
-            except Exception:
-                # Already resolved — a failed submission closed it
-                # out while the job sat queued.  Skip, never die.
+            job = self._queue.get()
+            if job is None:
+                return
+            payload, future = job
+            if not future.set_running_or_notify_cancel():
                 continue
             try:
-                outcome = await self._execute(payload)
-            except asyncio.CancelledError:
-                # Shutdown: the drain in _run_loop cancelled us.
-                # Swallowing this would resurrect the dispatcher (and
-                # close() would hang on the join) — resolve the job's
-                # future and let the cancellation out.
-                if not future.done():
-                    with contextlib.suppress(Exception):
-                        future.set_exception(
-                            RuntimeError("evaluation service closed")
-                        )
-                raise
+                outcome = self._execute(payload)
             except BaseException as exc:  # noqa: BLE001 - handed to caller
                 with self._lock:
                     self._stats["failed"] += 1
-                if not future.done():
-                    with contextlib.suppress(Exception):
-                        future.set_exception(exc)
+                future.set_exception(exc)
             else:
                 with self._lock:
                     self._stats["completed"] += 1
-                if not future.done():
-                    with contextlib.suppress(Exception):
-                        future.set_result(outcome)
+                future.set_result(outcome)
 
-    async def _execute(self, payload: _Payload) -> EvalOutcome:
+    def _execute(self, payload: _Payload) -> EvalOutcome:
         if self._closed:
-            # A closed service must not evaluate its queued backlog
-            # (let alone relaunch a pool for it) — fail the job to
-            # its submitter instead.
+            # A job dequeued just before close() must not run (let
+            # alone relaunch a pool) — fail it to its submitter.
             raise RuntimeError("evaluation service closed")
         pool = self._ensure_pool()
         if pool is None:
             return _run_job(payload)
         try:
-            return await self._loop.run_in_executor(pool, _run_job, payload)
+            return pool.submit(_run_job, payload).result()
         except concurrent.futures.process.BrokenProcessPool:
             # A worker died under the job (OOM-killed, sandbox): the
             # pool is unusable — degrade to inline like the campaign
@@ -348,7 +314,7 @@ class EvalService:
                 self._pool_broken = True
             warnings.warn(
                 "evaluation service worker pool broke; "
-                "continuing inline on the service thread",
+                "continuing inline on the dispatcher threads",
                 RuntimeWarning,
                 stacklevel=2,
             )
@@ -364,12 +330,12 @@ class EvalService:
             if self._pool is not None:
                 return self._pool
             # Never fork: by the time the pool launches (lazily, from
-            # the loop thread at first submit) this process is
+            # a dispatcher thread at the first job) this process is
             # multi-threaded by construction — campaign threads, the
-            # lease heartbeat, this loop — and a fork could snapshot
-            # a held lock into every worker.  Workers receive jobs by
-            # pickle (traces travel by path), so the resident pool
-            # loses nothing by starting from a clean interpreter:
+            # lease heartbeat, the dispatchers — and a fork could
+            # snapshot a held lock into every worker.  Workers receive
+            # jobs by pickle (traces travel by path), so the resident
+            # pool loses nothing by starting from a clean interpreter:
             # forkserver where available, spawn otherwise — a one-off
             # startup cost the pool's lifetime amortises.
             methods = mp.get_all_start_methods()
@@ -410,39 +376,12 @@ class EvalService:
         store artifact path instead of pickling it per job; ``ref`` and
         ``touch`` carry the write-ahead accounting of campaign jobs.
         ``campaign`` names the fairness bucket the job queues under
-        (anonymous submissions share one).  Identical in-flight
-        submissions (same trace identity and scenario digest) share
-        one future and one evaluation.
+        (anonymous submissions share one).  Every submission is its own
+        job; the store's claims, taken while planning, deduplicate.
         """
         if trace is None and trace_path is None:
             raise ValueError("submit needs a trace or a trace_path")
-        if self._closed or not self._thread.is_alive():
-            raise RuntimeError("evaluation service is closed")
-        identity = ref or trace_path or f"mem:{id(trace)}"
-        key = (identity, scenario.digest)
-        with self._lock:
-            existing = self._inflight.get(key)
-            if existing is not None:
-                self._stats["shared"] += 1
-            else:
-                future = concurrent.futures.Future()
-                self._inflight[key] = future
-                self._stats["submitted"] += 1
-        if existing is not None:
-            obs.emit(
-                "service.submit",
-                ref=identity,
-                scenario=scenario.digest[:8],
-                shared=True,
-            )
-            return existing
-        obs.emit(
-            "service.submit",
-            ref=identity,
-            scenario=scenario.digest[:8],
-            shared=False,
-        )
-        future.add_done_callback(lambda _f: self._forget(key))
+        future: concurrent.futures.Future = concurrent.futures.Future()
         payload: _Payload = (
             scenario,
             None if trace_path is not None else trace,
@@ -451,44 +390,20 @@ class EvalService:
             touch,
             self._pid,
         )
-        try:
-            admission = asyncio.run_coroutine_threadsafe(
-                self._enqueue(campaign or "adhoc", (payload, future)),
-                self._loop,
-            )
-            # Backpressure: block while the queue is full — but poll
-            # the service's liveness, because a concurrent close() can
-            # stop the loop after the check above, leaving the
-            # admission future permanently unresolved.
-            while True:
-                try:
-                    admission.result(timeout=0.5)
-                    break
-                except concurrent.futures.TimeoutError:
-                    if self._closed or not self._thread.is_alive():
-                        admission.cancel()
-                        raise RuntimeError(
-                            "evaluation service is closed"
-                        ) from None
-        except BaseException as exc:
-            self._forget(key)
-            # Another campaign may already share this future through
-            # the dedup map — resolve it, or that sharer waits on a
-            # future nobody will ever complete (close()'s pending
-            # sweep cannot see it once it is forgotten).
-            if not future.done():
-                with contextlib.suppress(Exception):
-                    future.set_exception(
-                        RuntimeError(
-                            f"evaluation service submission failed: {exc}"
-                        )
-                    )
-            raise
-        return future
-
-    def _forget(self, key: tuple[str, str]) -> None:
+        depth = self._queue.put(campaign or "adhoc", (payload, future))
         with self._lock:
-            self._inflight.pop(key, None)
+            self._stats["submitted"] += 1
+            high_water = depth > self._stats["queue_high_water"]
+            if high_water:
+                self._stats["queue_high_water"] = depth
+        obs.emit(
+            "service.submit",
+            ref=ref or trace_path or f"mem:{id(trace)}",
+            scenario=scenario.digest[:8],
+        )
+        if high_water:
+            obs.emit("service.queue_high_water", value=depth)
+        return future
 
     def run_jobs(
         self,
@@ -505,9 +420,6 @@ class EvalService:
         them once); a worker that finds a path unavailable — evicted
         between planning and execution — triggers one resubmission
         with the trace shipped inline from the submitter's memory.
-        Deduplicated submissions (another in-flight campaign already
-        queued the identical point) resolve through the shared future,
-        so every yielded index still gets its outcome.
         """
         trace_paths = trace_paths or {}
         # Fairness bucket: the campaign's touch tag is its identity for
@@ -519,60 +431,36 @@ class EvalService:
         # on every still-pending future per wake-up (quadratic churn
         # on big grids).
         completed: queue_module.Queue = queue_module.Queue()
-        entries_for: dict[concurrent.futures.Future, list] = {}
-        outstanding: set[concurrent.futures.Future] = set()
-        #: submission time per future — the yielded wall seconds are
-        #: submit-to-completion (queue wait included: that *is* where
-        #: a service job's wall-clock goes under contention)
-        submitted_at: dict[concurrent.futures.Future, float] = {}
+        #: future -> (job, submission time); the yielded wall seconds
+        #: are submit-to-completion (queue wait included: that *is*
+        #: where a service job's wall-clock goes under contention)
+        pending: dict[concurrent.futures.Future, tuple[tuple, float]] = {}
 
-        def track(future: concurrent.futures.Future, entry) -> None:
-            entries_for.setdefault(future, []).append(entry)
-            submitted_at.setdefault(future, time.perf_counter())
-            if future not in outstanding:
-                outstanding.add(future)
-                future.add_done_callback(completed.put)
+        def enqueue(job: tuple, path: str | None) -> None:
+            _index, label, ref, scenario = job
+            future = self.submit(
+                traces[label] if path is None else None,
+                scenario,
+                trace_path=path,
+                ref=ref,
+                touch=touch,
+                campaign=campaign,
+            )
+            pending[future] = (job, time.perf_counter())
+            future.add_done_callback(completed.put)
 
         try:
-            for index, label, ref, scenario in jobs:
-                path = trace_paths.get(label)
-                track(
-                    self.submit(
-                        traces[label] if path is None else None,
-                        scenario,
-                        trace_path=path,
-                        ref=ref,
-                        touch=touch,
-                        campaign=campaign,
-                    ),
-                    (index, label, ref, scenario),
-                )
-            while entries_for:
+            for job in jobs:
+                enqueue(job, trace_paths.get(job[1]))
+            while pending:
                 future = completed.get()
-                outstanding.discard(future)
-                entries = entries_for.pop(future, None)
-                if entries is None:
-                    continue  # a resubmitted future's first completion
+                job, submitted_at = pending.pop(future)
                 try:
                     outcome = future.result()
                 except TraceUnavailableError:
-                    for index, label, ref, scenario in entries:
-                        track(
-                            self.submit(
-                                traces[label],
-                                scenario,
-                                ref=ref,
-                                touch=touch,
-                                campaign=campaign,
-                            ),
-                            (index, label, ref, scenario),
-                        )
+                    enqueue(job, None)
                     continue
-                wall = time.perf_counter() - submitted_at.get(
-                    future, time.perf_counter()
-                )
-                for index, _label, _ref, _scenario in entries:
-                    yield index, outcome, wall
+                yield job[0], outcome, time.perf_counter() - submitted_at
         finally:
             # An abandoned or errored stream cannot cancel jobs the
             # resident pool already accepted — but it must not return
@@ -580,8 +468,8 @@ class EvalService:
             # files (the stream merges them right after closing us).
             # Drain, bounded: stragglers past the timeout fall to the
             # stale-file sweep of `repro store stats`.
-            if outstanding:
-                concurrent.futures.wait(list(outstanding), timeout=60.0)
+            if pending:
+                concurrent.futures.wait(list(pending), timeout=60.0)
 
     # -- observability ---------------------------------------------------------
     @property
@@ -604,32 +492,25 @@ class EvalService:
         """The service's lifetime counters and gauges as a registry."""
         with self._lock:
             raw = dict(self._stats)
-            in_flight = len(self._inflight)
-        queue = self._queue
-        queue_campaigns = queue.campaigns() if queue is not None else 0
         registry = obs.MetricsRegistry()
         registry.label("mode", self.mode)
         for name, help in (
             ("submitted", "jobs admitted to the queue"),
             ("completed", "jobs finished successfully"),
             ("failed", "jobs that raised"),
-            ("shared", "submissions served by an in-flight duplicate"),
             ("pool_launches", "resident pool launches"),
         ):
             registry.counter(name, help).inc(raw[name])
         registry.gauge(
             "queue_high_water", "deepest the admission queue has been"
         ).set(raw["queue_high_water"])
-        registry.gauge("in_flight", "deduplicated jobs in flight").set(
-            in_flight
-        )
         registry.gauge("workers", "resident pool size").set(self.workers)
         registry.gauge("queue_size", "admission queue bound").set(
             self.queue_size
         )
         registry.gauge(
             "queue_campaigns", "distinct campaigns currently queued"
-        ).set(queue_campaigns)
+        ).set(self._queue.campaigns())
         return registry
 
     def stats(self) -> dict[str, object]:
@@ -638,25 +519,23 @@ class EvalService:
 
     # -- lifecycle -------------------------------------------------------------
     def close(self) -> None:
-        """Stop the loop and the pool (idempotent; pending jobs fail)."""
+        """Fail the queued backlog, stop the pool and the dispatchers.
+
+        Idempotent.  Jobs already running finish; queued ones fail
+        with ``RuntimeError`` and later submissions raise it.
+        """
         with self._lock:
             if self._closed:
                 return
             self._closed = True
             pool, self._pool = self._pool, None
-        if self._thread.is_alive():
-            self._loop.call_soon_threadsafe(self._loop.stop)
-            self._thread.join(timeout=10.0)
+        for _payload, future in self._queue.close():
+            if future.set_running_or_notify_cancel():
+                future.set_exception(RuntimeError("evaluation service closed"))
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
-        with self._lock:
-            pending = list(self._inflight.values())
-            self._inflight.clear()
-        for future in pending:
-            if not future.done():
-                future.set_exception(
-                    RuntimeError("evaluation service closed")
-                )
+        for thread in self._threads:
+            thread.join(timeout=10.0)
 
     def __repr__(self) -> str:
         return (

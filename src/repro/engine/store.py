@@ -676,6 +676,8 @@ class TraceStore:
         #: cross-process leases this store currently holds: (kind, ref)
         self._held_leases: set[tuple[str, str]] = set()
         self._lease_thread: threading.Thread | None = None
+        #: set while no lease is held: wakes the heartbeat to exit
+        self._leases_idle = threading.Event()
         #: (host, pid) -> (checked_monotonic, expires): short-lived
         #: cache of holder heartbeat manifests, so scanning N leases of
         #: one holder costs one manifest read, not N
@@ -949,6 +951,7 @@ class TraceStore:
             with self._lock:
                 first_hold = not self._held_leases
                 self._held_leases.add((kind, ref))
+                self._leases_idle.clear()
             if first_hold:
                 # Publish the liveness manifest right away: the lease
                 # file itself carries one TTL of validity, but the
@@ -1037,6 +1040,8 @@ class TraceStore:
             if (kind, ref) not in self._held_leases:
                 return
             self._held_leases.discard((kind, ref))
+            if not self._held_leases:
+                self._leases_idle.set()
         path = self._lease_path(kind, ref)
         info = self._read_lease(path)
         if info is None:
@@ -1065,16 +1070,18 @@ class TraceStore:
         one that claims a single point.  A crash kills this thread
         with the process, the manifest goes stale, and rivals steal
         the leases after ``lease_ttl_s`` — the manifest *is* the
-        holder's liveness signal.
+        holder's liveness signal.  The last release wakes the thread
+        at once, so it stops holding the store alive.
         """
         interval = min(max(self.lease_ttl_s / 3.0, 0.02), 10.0)
         while True:
-            time.sleep(interval)
+            idle = self._leases_idle.wait(interval)
             with self._lock:
                 if not self._held_leases:
                     self._lease_thread = None
                     return
-            self._renew_manifest()
+            if not idle:
+                self._renew_manifest()
 
     def _renew_manifest(self, *, force: bool = False) -> None:
         """Push this process's heartbeat manifest forward (one replace).
@@ -1151,6 +1158,8 @@ class TraceStore:
                 continue  # acquired after the stall: still safely ours
             with self._lock:
                 self._held_leases.discard((kind, ref))
+                if not self._held_leases:
+                    self._leases_idle.set()
             obs.emit("lease.expire", kind=kind, ref=ref)
 
     def active_leases(self) -> int:
@@ -1759,6 +1768,7 @@ class TraceStore:
                     path.unlink(missing_ok=True)
             if self.lease_dir.is_dir():
                 self._held_leases.clear()
+                self._leases_idle.set()
                 for path in self.lease_dir.glob("*-*.json"):
                     path.unlink(missing_ok=True)
                 for path in (self.lease_dir / _HB_DIR).glob("*.json"):

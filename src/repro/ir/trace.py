@@ -42,8 +42,8 @@ __all__ = [
 #: silently.
 TRACE_FORMAT_VERSION = 2
 
-#: Semantic version of trace *content*, used in digests (both
-#: :attr:`Trace.content_digest` and the store's build-parameter keys).
+#: Semantic version of trace *content*, used in the store's
+#: build-parameter digests.
 #: Deliberately decoupled from :data:`TRACE_FORMAT_VERSION`: the v2
 #: layout reads back losslessly, so re-encoding a trace must not
 #: change its identity or orphan existing store entries.  Bump only
@@ -128,43 +128,6 @@ class Trace:
     @property
     def n_instances(self) -> int:
         return len(self.stmt_ids)
-
-    @property
-    def content_digest(self) -> str:
-        """sha256 over the trace's full content (memoised).
-
-        Covers the format version, array names/sizes and every column's
-        dtype and bytes — two traces share a digest iff they are
-        :meth:`identical`.  This addresses *in-memory* traces (the
-        ``evaluate_scenario`` path) in the result cache, where
-        store-registered traces use :class:`~repro.engine.store.TraceKey`'s
-        build-parameter digest; the namespaces never collide because a
-        key's digest hashes a JSON document, not raw column bytes.
-        """
-        import hashlib
-
-        cached = self.__dict__.get("_content_digest")
-        if cached is not None:
-            return cached
-        h = hashlib.sha256()
-        h.update(
-            json.dumps(
-                {
-                    "format_version": TRACE_DIGEST_VERSION,
-                    "array_names": list(self.array_names),
-                    "array_sizes": list(self.array_sizes),
-                },
-                sort_keys=True,
-            ).encode()
-        )
-        for name in _COLUMNS:
-            column = np.ascontiguousarray(getattr(self, name))
-            h.update(name.encode())
-            h.update(str(column.dtype).encode())
-            h.update(column.tobytes())
-        digest = h.hexdigest()
-        object.__setattr__(self, "_content_digest", digest)
-        return digest
 
     @property
     def n_reads(self) -> int:

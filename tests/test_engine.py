@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+import threading
 
 import numpy as np
 import pytest
 
-from repro.bench import Sweep
+from repro.bench import Sweep, kernel_trace
 from repro.core import MachineConfig
 from repro.engine import (
     CampaignSpec,
@@ -18,6 +19,7 @@ from repro.engine import (
     run_campaign,
     run_grid,
 )
+from repro.kernels import get_kernel
 
 
 def acceptance_spec() -> CampaignSpec:
@@ -121,6 +123,47 @@ class TestRunGrid:
             assert np.array_equal(
                 a.per_pe["page_fetches"], b.per_pe["page_fetches"]
             )
+
+    def test_concurrent_parallel_grids_keep_their_own_traces(
+        self, hydro_trace
+    ):
+        """Two pools in flight at once, each over a bare trace under the
+        same label ``""``: every worker evaluates its own pool's trace."""
+        program, inputs = get_kernel("first_diff").build(n=96)
+        traces = [hydro_trace, kernel_trace(program, inputs)]
+        configs = [
+            MachineConfig(n_pes=p, page_size=16, cache_elems=c)
+            for p in (1, 2, 4, 8)
+            for c in (0, 64)
+        ]
+        barrier = threading.Barrier(len(traces))
+        results: dict[int, list] = {}
+        errors: list[BaseException] = []
+
+        def drive(slot: int) -> None:
+            try:
+                barrier.wait(timeout=60)
+                results[slot] = run_grid(
+                    traces[slot], configs, parallel=True, workers=2
+                )
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=drive, args=(slot,))
+            for slot in range(len(traces))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+        assert not errors
+        for slot, trace in enumerate(traces):
+            serial = run_grid(trace, configs)
+            assert len(results[slot]) == len(serial)
+            for a, b in zip(serial, results[slot]):
+                assert a.identical(b)
 
 
 class TestRunCampaign:

@@ -9,7 +9,9 @@ handed (``run_campaign(spec, service=svc)``), never a backend:
   a timed spec evaluated on the timed machine;
 * N concurrent campaigns share **one** worker pool (``pool_launches_total``
   stays at 1) with exactly-once evaluation, asserted through the
-  process evaluation counter and the store's entry counts;
+  process evaluation counter and the store's entry counts — the
+  store's claims are the only deduplication, so with the cache off
+  every campaign evaluates each of its own points;
 * the admission queue is bounded — a grid larger than the queue still
   completes, it just trickles in;
 * errors raised inside resident workers (including
@@ -20,8 +22,9 @@ handed (``run_campaign(spec, service=svc)``), never a backend:
 
 from __future__ import annotations
 
-import asyncio
+import sys
 import threading
+import time
 import warnings
 from dataclasses import replace
 
@@ -194,6 +197,8 @@ class TestSharedPool:
         assert store.n_results() == len(expected)
         stats = service.stats()
         assert stats["pool_launches_total"] <= 1  # 0 when forced inline
+        # Planning claimed every point, so no duplicate reached the queue.
+        assert stats["submitted_total"] == len(expected)
         assert stats["completed_total"] == stats["submitted_total"]
         for result in results.values():
             assert result.executor.startswith("service[")
@@ -206,6 +211,52 @@ class TestSharedPool:
                 parallel=False,
             )
             assert results[name].identical(baseline)
+
+    def test_uncached_overlapping_campaigns_each_evaluate_every_point(
+        self, tmp_path, make_service
+    ):
+        """With ``use_cache=False`` nothing is claimed, so each campaign
+        evaluates all of its own points, as its serial run would —
+        overlapping points included."""
+        service = make_service(workers=2)
+        store = TraceStore(tmp_path / "store")
+        specs = [
+            small_spec("svc-x", pes=(1, 2, 4)),
+            small_spec("svc-y", pes=(2, 4, 8)),
+            small_spec("svc-z", pes=(1, 4, 8)),
+        ]
+        results: dict[int, object] = {}
+        errors: list[BaseException] = []
+
+        def drive(slot: int) -> None:
+            try:
+                results[slot] = run_campaign(
+                    specs[slot], store=store, service=service,
+                    use_cache=False,
+                )
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=drive, args=(slot,))
+            for slot in range(len(specs))
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=300)
+            assert not thread.is_alive()
+        assert not errors
+        stats = service.stats()
+        total = sum(spec.n_points for spec in specs)
+        assert stats["submitted_total"] == total
+        assert stats["completed_total"] == total
+        assert store.n_results() == 0
+        for slot, spec in enumerate(specs):
+            baseline = run_campaign(
+                spec, store=store, parallel=False, use_cache=False
+            )
+            assert results[slot].identical(baseline)
 
     def test_pool_parameters_are_validated(self):
         with pytest.raises(ValueError, match="workers"):
@@ -273,31 +324,14 @@ class TestSharedPool:
         assert len(result) == spec.n_points
         assert service.stats()["completed_total"] == spec.n_points
 
-    def test_in_flight_deduplication_shares_one_future(
-        self, hydro_trace, make_service
-    ):
-        service = make_service(workers=0)
-        scenario = Scenario(
-            config=MachineConfig(n_pes=4, page_size=32), backend="untimed"
-        )
-        futures = [
-            service.submit(hydro_trace, scenario) for _ in range(4)
-        ]
-        outcomes = {id(f.result()) for f in futures}
-        stats = service.stats()
-        # All four submissions resolved; later ones shared the first's
-        # future whenever it was still in flight.
-        assert stats["completed_total"] + stats["shared_total"] == 4
-        assert len(outcomes) <= stats["completed_total"]
-
     def test_service_repr_and_stats_shape(self, make_service):
         service = make_service(workers=0, queue_size=7)
         assert "EvalService" in repr(service)
         stats = service.stats()
         for field in (
             "submitted_total", "completed_total", "failed_total",
-            "shared_total", "pool_launches_total", "queue_high_water",
-            "in_flight", "workers", "queue_size", "mode",
+            "pool_launches_total", "queue_high_water", "workers",
+            "queue_size", "queue_campaigns", "mode",
         ):
             assert field in stats
         assert stats["mode"] == "inline"
@@ -306,10 +340,9 @@ class TestSharedPool:
     def test_close_with_inflight_backlog_terminates_promptly(
         self, hydro_trace, make_service
     ):
-        """Shutdown with queued work must not hang the join, leak the
-        loop thread, relaunch a pool, or leave futures unresolved."""
-        import time
-
+        """Shutdown with queued work must not hang the joins, leak a
+        dispatcher thread, relaunch a pool, or leave futures
+        unresolved."""
         service = make_service(workers=1, queue_size=256)
         futures = [
             service.submit(
@@ -326,11 +359,14 @@ class TestSharedPool:
         started = time.monotonic()
         service.close()
         assert time.monotonic() - started < 8.0  # no join-timeout hang
-        assert not service._thread.is_alive()
+        assert not any(thread.is_alive() for thread in service._threads)
         # The backlog was failed, not evaluated by a resurrected pool.
-        assert service.stats()["pool_launches_total"] == launches_before
+        stats = service.stats()
+        assert stats["pool_launches_total"] == launches_before
         for future in futures:
             assert future.done()
+        failed = sum(future.exception() is not None for future in futures)
+        assert stats["completed_total"] + failed == len(futures)
 
     def test_closed_service_rejects_submissions(
         self, hydro_trace, make_service
@@ -381,42 +417,95 @@ class TestSharedPool:
         assert late.backend == "untimed"
         assert service.mode == "inline"
         assert any("pool broke" in str(w.message) for w in caught)
-        # No silent losses: everything submitted either completed or
-        # was shared; nothing is left in flight.
+        # No silent losses: every submitted job completed.
         stats = service.stats()
-        assert stats["in_flight"] == 0
-        assert stats["completed_total"] + stats["shared_total"] >= 5
+        assert stats["completed_total"] == stats["submitted_total"] == 5
 
 
 class TestFairQueue:
     def test_round_robin_across_campaigns(self):
         """A big backlog cannot starve a later arrival: buckets are
         served alternately, FIFO within each campaign."""
-
-        async def scenario():
-            queue = _FairQueue(16)
-            for i in range(4):
-                await queue.put("big", f"big{i}")
-            for i in range(2):
-                await queue.put("late", f"late{i}")
-            return [await queue.get() for _ in range(6)]
-
-        order = asyncio.run(scenario())
+        queue = _FairQueue(16)
+        for i in range(4):
+            queue.put("big", f"big{i}")
+        for i in range(2):
+            queue.put("late", f"late{i}")
+        order = [queue.get() for _ in range(6)]
         assert order == ["big0", "late0", "big1", "late1", "big2", "big3"]
 
     def test_global_bound_blocks_and_frees(self):
-        async def scenario():
-            queue = _FairQueue(2)
-            await queue.put("a", 1)
-            await queue.put("b", 2)
-            blocked = asyncio.ensure_future(queue.put("a", 3))
-            await asyncio.sleep(0.01)
-            assert not blocked.done()  # full: the third put waits
-            assert await queue.get() == 1
-            await asyncio.wait_for(blocked, timeout=5)
-            assert queue.qsize() == 2
+        queue = _FairQueue(2)
+        assert queue.put("a", 1) == 1
+        assert queue.put("b", 2) == 2
+        blocked = threading.Thread(target=queue.put, args=("a", 3))
+        blocked.start()
+        blocked.join(timeout=0.05)
+        assert blocked.is_alive()  # full: the third put waits
+        assert queue.get() == 1
+        blocked.join(timeout=5)
+        assert not blocked.is_alive()
+        assert [queue.get(), queue.get()] == [2, 3]
 
-        asyncio.run(scenario())
+    def test_close_wakes_a_blocked_put_and_returns_the_backlog(self):
+        queue = _FairQueue(2)
+        queue.put("a", 1)
+        queue.put("b", 2)
+        errors: list[BaseException] = []
+
+        def put_third() -> None:
+            try:
+                queue.put("a", 3)
+            except RuntimeError as exc:
+                errors.append(exc)
+
+        blocked = threading.Thread(target=put_third)
+        blocked.start()
+        blocked.join(timeout=0.05)
+        assert blocked.is_alive()
+        assert sorted(queue.close()) == [1, 2]
+        blocked.join(timeout=5)
+        assert not blocked.is_alive()
+        assert [str(exc) for exc in errors] == ["evaluation service is closed"]
+        assert queue.get() is None
+
+    def test_threaded_stress_delivers_every_item_once(self):
+        """More producers and consumers than cores on a tiny bound, with
+        a short switch interval: every item is delivered exactly once
+        (to a consumer or in the closing backlog), and the bound holds."""
+        queue = _FairQueue(3)
+        depths: list[int] = []
+        received: list[tuple[int, int]] = []
+
+        def produce(slot: int) -> None:
+            for i in range(150):
+                depths.append(queue.put(f"c{slot % 3}", (slot, i)))
+
+        def consume() -> None:
+            while (item := queue.get()) is not None:
+                received.append(item)
+
+        producers = [
+            threading.Thread(target=produce, args=(slot,)) for slot in range(6)
+        ]
+        consumers = [threading.Thread(target=consume) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in consumers + producers:
+                thread.start()
+            for thread in producers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            backlog = queue.close()
+            for thread in consumers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        expected = [(slot, i) for slot in range(6) for i in range(150)]
+        assert sorted(received + backlog) == expected
+        assert max(depths) <= 3
 
 
 class _FailsOnTwoPEs:

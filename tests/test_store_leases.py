@@ -14,10 +14,12 @@ sharding/stress suites.
 
 from __future__ import annotations
 
+import gc
 import json
 import multiprocessing as mp
 import os
 import time
+import weakref
 from pathlib import Path
 
 import pytest
@@ -176,6 +178,34 @@ class TestLeaseFiles:
         assert info is not None, "lease expired despite the heartbeat"
         assert info["expires"] > first
         store.release_lease("2c" * 10)
+
+    def test_heartbeat_exits_promptly_after_the_last_release(self, tmp_path):
+        """At the default TTL the heartbeat ticks every 10 s; the last
+        release must wake it instead of leaving it asleep that long."""
+        store = TraceStore(tmp_path)
+        assert store.acquire_lease("2f" * 10)
+        assert store.acquire_lease("2f" * 10, kind="trace")
+        heartbeat = store._lease_thread
+        assert heartbeat is not None and heartbeat.is_alive()
+        store.release_lease("2f" * 10)
+        heartbeat.join(timeout=0.5)
+        assert heartbeat.is_alive()  # a trace lease is still held
+        store.release_lease("2f" * 10, kind="trace")
+        heartbeat.join(timeout=1.0)
+        assert not heartbeat.is_alive()
+
+    def test_finished_campaign_store_is_collected_promptly(self, tmp_path):
+        """Nothing — the lease heartbeat included — keeps a finished
+        campaign's store (and its in-memory traces) alive."""
+        store = TraceStore(tmp_path)
+        run_campaign(spec_a(), store=store, parallel=False)
+        collected = weakref.ref(store)
+        del store
+        deadline = time.monotonic() + 1.0
+        while collected() is not None and time.monotonic() < deadline:
+            gc.collect()
+            time.sleep(0.02)
+        assert collected() is None
 
     def test_trace_and_result_leases_do_not_collide(self, tmp_path):
         store = TraceStore(tmp_path)

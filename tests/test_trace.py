@@ -92,56 +92,3 @@ class TestValidate:
         )
         with pytest.raises(ValueError, match="nondecreasing"):
             bad.validate()
-
-
-class TestContentDigest:
-    def test_identical_traces_share_a_digest(self):
-        a, b = build_trace(), build_trace()
-        assert a is not b
-        assert a.content_digest == b.content_digest
-        assert len(a.content_digest) == 64  # full sha256 hex
-
-    def test_digest_is_memoised(self):
-        trace = build_trace()
-        first = trace.content_digest
-        assert trace.__dict__["_content_digest"] == first
-        assert trace.content_digest is first
-
-    def test_any_column_or_metadata_change_moves_the_digest(self):
-        base = build_trace()
-        flipped = type(base)(
-            array_names=base.array_names,
-            array_sizes=base.array_sizes,
-            stmt_ids=base.stmt_ids,
-            w_arr=base.w_arr,
-            w_flat=base.w_flat.copy(),
-            r_ptr=base.r_ptr,
-            r_arr=base.r_arr,
-            r_flat=base.r_flat,
-            reduction_mask=base.reduction_mask,
-        )
-        flipped.w_flat[0] += 1
-        renamed = type(base)(
-            array_names=("Y",) + base.array_names[1:],
-            array_sizes=base.array_sizes,
-            stmt_ids=base.stmt_ids,
-            w_arr=base.w_arr,
-            w_flat=base.w_flat,
-            r_ptr=base.r_ptr,
-            r_arr=base.r_arr,
-            r_flat=base.r_flat,
-            reduction_mask=base.reduction_mask,
-        )
-        digests = {
-            base.content_digest,
-            flipped.content_digest,
-            renamed.content_digest,
-        }
-        assert len(digests) == 3
-
-    def test_save_load_round_trip_preserves_the_digest(self, tmp_path):
-        trace = build_trace()
-        path = trace.save(tmp_path / "t.npz")
-        from repro.ir.trace import Trace
-
-        assert Trace.load(path).content_digest == trace.content_digest
