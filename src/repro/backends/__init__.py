@@ -7,11 +7,12 @@ puts both — and any backend a user registers — behind one contract:
 
 * :class:`~repro.backends.base.Scenario` — the frozen identity of an
   evaluation point (machine configuration + topology, cost-model
-  preset, execution mode), with canonical dict/JSON round-trip;
+  preset, execution mode), with canonical dict/JSON round-trip; it
+  refuses unknown knobs when it is built, so backends never re-check;
 * :class:`~repro.backends.base.EvalBackend` — the protocol a backend
   implements: ``name``, ``evaluate(trace, scenario) -> EvalOutcome``,
-  a ``result_schema`` of metric columns and the ``scenario_axes`` it
-  consumes;
+  a ``result_schema`` of metric columns, the ``table_metrics`` worth a
+  table column and the ``scenario_axes`` it consumes;
 * :func:`~repro.backends.base.register_backend` /
   :func:`~repro.backends.base.get_backend` — the registry the engine
   dispatches through (:func:`~repro.backends.base.canonical_backend`
@@ -31,8 +32,7 @@ only; scheduling — serial, a forked pool, or one resident
 pool shared by concurrent campaigns
 (:class:`~repro.engine.service.EvalService`) — belongs to the engine's
 executor.  The support matrix — which backend consumes which scenario
-knob — is documented in ``docs/backends.md``; unsupported
-combinations raise :class:`~repro.backends.base.UnsupportedScenarioError`.
+knob — is documented in ``docs/backends.md``.
 
 Quickstart::
 
@@ -57,7 +57,6 @@ from .base import (
     EvalBackend,
     EvalOutcome,
     Scenario,
-    UnsupportedScenarioError,
     backend_names,
     canonical_backend,
     cost_model,
@@ -78,7 +77,6 @@ __all__ = [
     "EvalOutcome",
     "Scenario",
     "TimedBackend",
-    "UnsupportedScenarioError",
     "UntimedBackend",
     "backend_names",
     "canonical_backend",

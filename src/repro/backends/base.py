@@ -29,7 +29,7 @@ from ..core.simulator import MachineConfig
 from ..core.stats import AccessStats
 from ..ir.trace import Trace
 from ..machine.network import canonical_topology
-from ..machine.pe import CostModel
+from ..machine.pe import MODES, CostModel
 from ..obs import profile
 
 __all__ = [
@@ -38,7 +38,6 @@ __all__ = [
     "EvalOutcome",
     "MODES",
     "Scenario",
-    "UnsupportedScenarioError",
     "backend_names",
     "canonical_backend",
     "cost_model",
@@ -50,61 +49,6 @@ __all__ = [
     "register_backend",
 ]
 
-
-class UnsupportedScenarioError(ValueError):
-    """A backend cannot model a scenario knob it was handed.
-
-    Raised by a backend's ``evaluate`` when the scenario requests
-    something outside the backend's modelling envelope — e.g. a
-    hand-built scenario smuggling a reduction strategy no backend has
-    ever heard of past the config validator (see the support matrix in
-    ``docs/backends.md``; every *valid* strategy is modelled by every
-    built-in backend).  The message names the backend, the knob and
-    its value, plus the supported values when the backend knows them —
-    sorted, so the message is deterministic whatever order the backend
-    declared them in — and a failure deep inside a worker still says
-    exactly which combination to change.  Subclasses
-    :class:`ValueError` for backward compatibility with callers that
-    catch broadly.
-
-    Campaign specs reject unsupported combinations at *construction*
-    (:class:`repro.engine.campaign.CampaignSpec` checks a backend's
-    ``supported_reductions``); this error is the backstop for
-    hand-built scenarios that bypass the spec validator.
-    """
-
-    def __init__(
-        self,
-        backend: str,
-        knob: str,
-        value: object,
-        supported: tuple | None = None,
-    ) -> None:
-        self.backend = backend
-        self.knob = knob
-        self.value = value
-        # Sorted for a deterministic message (backends declare support
-        # in documentation order; the error must not depend on it).
-        self.supported = (
-            tuple(sorted(supported, key=str)) if supported is not None else None
-        )
-        message = (
-            f"backend {backend!r} does not support {knob}={value!r}"
-        )
-        if self.supported is not None:
-            message += f" (supported: {self.supported})"
-        super().__init__(message)
-
-    def __reduce__(self):
-        # Exceptions pickle by re-calling ``cls(*args)``; ours takes
-        # structured arguments, so spell them out — a worker-process
-        # failure must survive the trip back through the pool.
-        # ``type(self)``, not the base class, so subclasses raised in
-        # a worker are caught as themselves by the submitter.
-        return (
-            type(self),
-            (self.backend, self.knob, self.value, self.supported),
-        )
 
 # ---------------------------------------------------------------------------
 # cost-model presets
@@ -162,10 +106,6 @@ def cost_model(name: str) -> CostModel:
         raise KeyError(
             f"unknown cost model {name!r}; choose from {cost_model_names()}"
         ) from None
-
-
-#: PE execution modes of the timed machine.
-MODES: tuple[str, ...] = ("blocking", "multithreaded")
 
 
 # ---------------------------------------------------------------------------
@@ -359,16 +299,10 @@ class EvalBackend(Protocol):
     ``metrics`` dict carries; ``table_metrics`` is the subset worth a
     column in the CLI's record tables.
 
-    One optional extension refines the engine's behaviour:
-    ``supported_reductions`` — a tuple of reduction-strategy names,
-    declared when the backend wants strategy-level validation (both
-    built-in evaluators now model ``"host"`` and ``"subrange"``);
-    campaign specs sweeping an undeclared strategy are rejected at
-    construction instead of mid-run, and ``evaluate`` raises
-    :class:`UnsupportedScenarioError` for hand-built scenarios that
-    bypass the validator (full matrix in ``docs/backends.md``).
-    A backend is physics only: *how* jobs are scheduled (serially, on
-    a forked pool, or on a shared
+    Every knob arrives already checked, where its value was built
+    (:class:`~repro.core.simulator.MachineConfig`, :class:`Scenario`),
+    so ``evaluate`` only evaluates.  A backend is physics only: *how*
+    jobs are scheduled (serially, on a forked pool, or on a shared
     :class:`~repro.engine.service.EvalService`) is the executor's
     business.
     """

@@ -14,12 +14,7 @@ from __future__ import annotations
 
 from ..ir.trace import Trace
 from ..machine.msim import TimedMachine, serial_time
-from .base import (
-    EvalOutcome,
-    Scenario,
-    UnsupportedScenarioError,
-    register_backend,
-)
+from .base import EvalOutcome, Scenario, register_backend
 
 __all__ = ["TimedBackend"]
 
@@ -29,14 +24,6 @@ class TimedBackend:
 
     name = "timed"
     scenario_axes: tuple[str, ...] = ("topologies", "modes", "cost_models")
-    #: Every strategy the untimed simulator models is replayed on the
-    #: discrete-event machine too — ``host`` funnels folds through the
-    #: accumulator's owner, ``subrange`` re-places them onto their
-    #: data's owners and schedules the host's partial-gather messages.
-    #: The tuple (and the :class:`UnsupportedScenarioError` raised for
-    #: anything outside it) stays as the backstop for hand-built
-    #: scenarios carrying a strategy this backend has never heard of.
-    supported_reductions: tuple[str, ...] = ("host", "subrange")
     result_schema: tuple[str, ...] = (
         "finish_time",
         "speedup",
@@ -52,13 +39,6 @@ class TimedBackend:
     table_metrics: tuple[str, ...] = ("finish_time", "speedup")
 
     def evaluate(self, trace: Trace, scenario: Scenario) -> EvalOutcome:
-        if scenario.config.reduction_strategy not in self.supported_reductions:
-            raise UnsupportedScenarioError(
-                self.name,
-                "reduction_strategy",
-                scenario.config.reduction_strategy,
-                supported=self.supported_reductions,
-            )
         costs = scenario.costs
         result = TimedMachine(
             trace,

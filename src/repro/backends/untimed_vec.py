@@ -12,27 +12,14 @@ metric (how many PE cache walks needed the scalar fallback) is extra.
 replay columnar.  ``"untimed-vec"`` is an alias of this backend, and
 the module keeps its path because the campaign benchmark's tracer
 patches ``replay_superops`` and ``simulate_vec`` here by name.
-
-Scenario knobs the columnar engine cannot batch raise
-:class:`~repro.backends.base.UnsupportedScenarioError` up front — an
-unknown cache policy would otherwise only surface as a ``KeyError``
-deep inside the walk, and an unknown reduction strategy (smuggled past
-the config validator by a hand-built scenario) must name the backend
-that refused it, exactly as the timed backend does.
 """
 
 from __future__ import annotations
 
-from ..cache import POLICIES
 from ..core.superop_replay import replay_superops
 from ..core.vec_simulator import simulate_vec
 from ..ir.trace import Trace
-from .base import (
-    EvalOutcome,
-    Scenario,
-    UnsupportedScenarioError,
-    register_backend,
-)
+from .base import EvalOutcome, Scenario, register_backend
 
 __all__ = ["UntimedBackend"]
 
@@ -42,10 +29,6 @@ class UntimedBackend:
 
     name = "untimed"
     scenario_axes: tuple[str, ...] = ()
-    #: Same strategies the scalar engine models; the subrange combine
-    #: is charged through the scalar engine's own shared routine, so
-    #: the strategies can never drift apart.
-    supported_reductions: tuple[str, ...] = ("host", "subrange")
     result_schema: tuple[str, ...] = (
         "page_fetches",
         "distinct_pages_fetched",
@@ -55,20 +38,6 @@ class UntimedBackend:
 
     def evaluate(self, trace: Trace, scenario: Scenario) -> EvalOutcome:
         config = scenario.config
-        if config.reduction_strategy not in self.supported_reductions:
-            raise UnsupportedScenarioError(
-                self.name,
-                "reduction_strategy",
-                config.reduction_strategy,
-                supported=self.supported_reductions,
-            )
-        if config.has_cache and config.cache_policy not in POLICIES:
-            raise UnsupportedScenarioError(
-                self.name,
-                "cache_policy",
-                config.cache_policy,
-                supported=tuple(POLICIES),
-            )
         telemetry: dict[str, int] = {}
         superops = trace.attached_superops()
         # A trace carrying a super-op view replays in O(unique

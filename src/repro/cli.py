@@ -479,7 +479,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     from pathlib import Path
 
     from .engine import CampaignSpec
-    from .fleet import CAMPAIGN_SCHEMA, validate_campaign
+    from .engine.schema import CAMPAIGN_SCHEMA
 
     if args.campaign_command == "schema":
         print(_json.dumps(CAMPAIGN_SCHEMA, indent=2))
@@ -494,17 +494,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
                 print(f"{name}: unreadable: {exc}")
                 failures += 1
                 continue
-            violations = validate_campaign(document)
-            if not violations:
-                try:
-                    spec = CampaignSpec.from_dict(document)
-                except (KeyError, ValueError) as exc:
-                    violations = [f"$: {exc}"]
-            if violations:
+            try:
+                spec = CampaignSpec.from_dict(document)
+            except (KeyError, ValueError) as exc:
                 failures += 1
                 print(f"{name}: INVALID")
-                for violation in violations:
-                    print(f"  {violation}")
+                print(f"  {exc}")
             else:
                 print(
                     f"{name}: ok — campaign {spec.name!r}, "
@@ -678,6 +673,10 @@ def _cmd_report(_: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .cache import POLICIES
+    from .core.simulator import REDUCTION_STRATEGIES
+    from .machine.pe import MODES
+
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -725,7 +724,10 @@ def build_parser() -> argparse.ArgumentParser:
         "--cache", type=int, default=256, help="cache elements (0 = none)"
     )
     swp.add_argument(
-        "--policy", default="lru", help="cache policy (lru/fifo/random/direct)"
+        "--policy",
+        default="lru",
+        choices=sorted(POLICIES),
+        help="cache replacement policy",
     )
     swp.add_argument(
         "--partition",
@@ -736,7 +738,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--reduction",
         nargs="+",
         default=["host"],
-        choices=["host", "subrange"],
+        choices=REDUCTION_STRATEGIES,
         help="reduction strategies (host funnel, subrange collection)",
     )
     swp.add_argument(
@@ -752,7 +754,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--mode",
         nargs="+",
         default=["blocking"],
-        choices=["blocking", "multithreaded"],
+        choices=MODES,
         help="timed backend: PE execution modes",
     )
     swp.add_argument(

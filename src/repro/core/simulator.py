@@ -30,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from ..cache import make_cache
+from ..cache import POLICIES, make_cache
 from ..ir.loops import Program
 from ..obs.profile import phase as _phase
 from ..ir.trace import Trace
@@ -40,6 +40,7 @@ from .partition import ModuloPartition, PartitionScheme, named_scheme
 from .stats import AccessStats
 
 __all__ = [
+    "REDUCTION_STRATEGIES",
     "MachineConfig",
     "SimResult",
     "SubrangeGroup",
@@ -48,6 +49,10 @@ __all__ = [
     "subrange_groups",
     "subrange_placement",
 ]
+
+
+#: How accumulations may be executed (see ``MachineConfig``).
+REDUCTION_STRATEGIES: tuple[str, ...] = ("host", "subrange")
 
 
 @dataclass(frozen=True)
@@ -84,9 +89,15 @@ class MachineConfig:
             raise ValueError("page size must be positive")
         if self.cache_elems < 0:
             raise ValueError("cache size must be nonnegative")
-        if self.reduction_strategy not in ("host", "subrange"):
+        if self.cache_policy not in POLICIES:
             raise ValueError(
-                f"unknown reduction strategy {self.reduction_strategy!r}"
+                f"unknown cache policy {self.cache_policy!r}; "
+                f"choose from {tuple(sorted(POLICIES))}"
+            )
+        if self.reduction_strategy not in REDUCTION_STRATEGIES:
+            raise ValueError(
+                f"unknown reduction strategy {self.reduction_strategy!r}; "
+                f"choose from {REDUCTION_STRATEGIES}"
             )
 
     @property

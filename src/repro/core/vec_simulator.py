@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cache import POLICIES, make_cache
+from ..cache import make_cache
 from ..ir.trace import Trace
 from ..memory.pages import PageTable
 from ..obs.profile import phase as _phase
@@ -378,11 +378,6 @@ def simulate_vec(
             for pe, start, end in _segments(seg_exec):
                 distinct_pages[pe] = np.unique(seg_keys[start:end]).size
         return finish(page_fetches, distinct_pages)
-
-    if config.cache_policy not in POLICIES:
-        # Same error, same point in the replay as the scalar engine's
-        # first make_cache call.
-        make_cache(config.cache_policy, config.cache_pages)
 
     cached_per_pe = np.zeros(n_pes, dtype=np.int64)
     remote_per_pe = np.zeros(n_pes, dtype=np.int64)

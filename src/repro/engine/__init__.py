@@ -12,7 +12,11 @@ paper's trace-once / sweep-many structure at scale:
   hit/miss/eviction counters;
 * :mod:`~repro.engine.campaign` — declarative sweep specs (kernels ×
   PEs × page sizes × caches × policies × partitions, plus the timed
-  backend's topologies × modes × cost models), JSON in and out;
+  backend's topologies × modes × cost models), JSON in and out; each
+  value is checked once, when the spec is built;
+* :mod:`~repro.engine.schema` — the versioned JSON Schema of the spec
+  file format, which ``CampaignSpec.from_dict`` checks every document
+  against before the registries are consulted;
 * :mod:`~repro.engine.executor` — a multiprocessing fan-out that
   dispatches through the backend registry, with copy-on-write trace
   sharing, deterministic result ordering, a serial fallback, and

@@ -23,8 +23,9 @@ from pathlib import Path
 from typing import Iterator, Mapping, Sequence
 
 from ..backends import MODES, Scenario, canonical_backend, cost_model, get_backend
+from ..cache import POLICIES
 from ..core.partition import named_scheme
-from ..core.simulator import MachineConfig
+from ..core.simulator import REDUCTION_STRATEGIES, MachineConfig
 from ..machine.network import canonical_topology
 
 __all__ = [
@@ -51,6 +52,11 @@ class KernelSpec:
     name: str
     n: int | None = None
     seed: int | None = None
+
+    def __post_init__(self) -> None:
+        from ..kernels import get_kernel
+
+        get_kernel(self.name)  # fail fast on typos
 
     @property
     def label(self) -> str:
@@ -168,11 +174,17 @@ class CampaignSpec:
             named_scheme(scheme)  # fail fast on typos
         for preset in self.cost_models:
             cost_model(preset)
-        for mode in self.modes:
-            if mode not in MODES:
-                raise ValueError(
-                    f"unknown mode {mode!r}; choose from {MODES}"
-                )
+        for axis, knob, valid in (
+            ("cache_policies", "cache policy", tuple(sorted(POLICIES))),
+            ("reduction_strategies", "reduction strategy",
+             REDUCTION_STRATEGIES),
+            ("modes", "mode", MODES),
+        ):
+            for value in getattr(self, axis):
+                if value not in valid:
+                    raise ValueError(
+                        f"unknown {knob} {value!r}; choose from {valid}"
+                    )
         if self.max_outstanding < 1:
             raise ValueError("max_outstanding must be at least 1")
         backend = get_backend(self.backend)  # KeyError on typos
@@ -193,19 +205,6 @@ class CampaignSpec:
                 f"'max_outstanding' is not used by backend "
                 f"{self.backend!r}; leave it at 4"
             )
-        # Backends may declare the reduction strategies they can model
-        # (both built-ins now model "host" and "subrange", but the
-        # declaration still guards third-party backends and typos);
-        # fail at spec construction, not minutes later in a worker.
-        supported = getattr(backend, "supported_reductions", None)
-        if supported is not None:
-            for strategy in self.reduction_strategies:
-                if strategy not in supported:
-                    raise ValueError(
-                        f"backend {self.backend!r} does not model "
-                        f"reduction strategy {strategy!r} "
-                        f"(supported: {tuple(supported)})"
-                    )
 
     # -- enumeration -----------------------------------------------------------
     @property
@@ -318,26 +317,19 @@ class CampaignSpec:
 
     @staticmethod
     def from_dict(data: Mapping[str, object]) -> "CampaignSpec":
-        known = {"name", "backend", "kernels", "max_outstanding", *_AXIS_FIELDS}
-        extra = set(data) - known
-        if extra:
-            raise ValueError(f"unknown campaign spec keys: {sorted(extra)}")
-        if "kernels" not in data:
-            raise ValueError("campaign spec needs a 'kernels' list")
-        kwargs: dict[str, object] = {
-            "name": str(data.get("name", "campaign")),
-            "kernels": tuple(
-                KernelSpec.coerce(k) for k in data["kernels"]  # type: ignore[union-attr]
-            ),
-        }
-        if "backend" in data:
-            kwargs["backend"] = str(data["backend"])
-        if "max_outstanding" in data:
-            kwargs["max_outstanding"] = int(data["max_outstanding"])  # type: ignore[arg-type]
-        for axis in _AXIS_FIELDS:
-            if axis in data:
-                kwargs[axis] = tuple(data[axis])  # type: ignore[arg-type]
-        return CampaignSpec(**kwargs)  # type: ignore[arg-type]
+        """Build a spec from its JSON document, schema-checked first.
+
+        Every loader (the CLI, the fleet server and workers) comes
+        through here, so each refuses a bad file with the same message.
+        """
+        from .schema import validate_campaign  # only spec files need it
+
+        violations = validate_campaign(data)
+        if violations:
+            raise ValueError(
+                "campaign spec rejected: " + "; ".join(violations)
+            )
+        return CampaignSpec(**{"name": "campaign", **data})
 
     @staticmethod
     def from_json(text: str) -> "CampaignSpec":

@@ -4,9 +4,7 @@
 2020-12 vocabulary, restricted to the subset below) describing the
 on-disk :class:`~repro.engine.CampaignSpec` format.  It is versioned
 through :data:`CAMPAIGN_SCHEMA_VERSION` and the spec format's
-``$id`` — a fleet server and its clients compare versions in the
-``campaign validate`` path, and any incompatible change to the spec
-format bumps the number.
+``$id``; any incompatible change to the spec format bumps the number.
 
 The container ships no ``jsonschema`` dependency, so
 :func:`validate_campaign` implements the subset the schema actually
@@ -15,14 +13,19 @@ uses: ``type``, ``properties`` / ``required`` /
 ``enum``, ``minimum`` / ``maximum``, ``minLength``.  The document
 itself remains consumable by any off-the-shelf validator.
 
-Structural validation is the first gate; semantic rules that need the
-registries (kernel names, partition schemes, backend axes) live in
-``CampaignSpec.from_dict`` and run after the shape is known good.
+:meth:`CampaignSpec.from_dict <repro.engine.campaign.CampaignSpec.from_dict>`
+runs this structural gate first; the rules that need the registries
+(kernel names, partition schemes, backend axes) run after the shape
+is known good.  The enums read the same lists the constructors check.
 """
 
 from __future__ import annotations
 
 from typing import Any
+
+from ..cache import POLICIES
+from ..core.simulator import REDUCTION_STRATEGIES
+from ..machine.pe import MODES
 
 __all__ = [
     "CAMPAIGN_SCHEMA",
@@ -50,6 +53,11 @@ _STRING_ARRAY = {
     "minItems": 1,
     "items": {"type": "string", "minLength": 1},
 }
+
+
+def _enum_array(values) -> dict[str, Any]:
+    return {"type": "array", "minItems": 1, "items": {"enum": list(values)}}
+
 
 CAMPAIGN_SCHEMA: dict[str, Any] = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -83,19 +91,11 @@ CAMPAIGN_SCHEMA: dict[str, Any] = {
         "pes": _POSITIVE_INT_ARRAY,
         "page_sizes": _POSITIVE_INT_ARRAY,
         "cache_elems": _NONNEGATIVE_INT_ARRAY,
-        "cache_policies": _STRING_ARRAY,
+        "cache_policies": _enum_array(sorted(POLICIES)),
         "partitions": _STRING_ARRAY,
-        "reduction_strategies": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"enum": ["host", "subrange"]},
-        },
+        "reduction_strategies": _enum_array(REDUCTION_STRATEGIES),
         "topologies": _STRING_ARRAY,
-        "modes": {
-            "type": "array",
-            "minItems": 1,
-            "items": {"enum": ["blocking", "multithreaded"]},
-        },
+        "modes": _enum_array(MODES),
         "cost_models": _STRING_ARRAY,
         "max_outstanding": {"type": "integer", "minimum": 1},
     },
@@ -182,8 +182,8 @@ def validate_campaign(document: Any) -> list[str]:
     """Structurally validate one campaign-spec document.
 
     Returns the list of violations (empty: the document conforms to
-    :data:`CAMPAIGN_SCHEMA`).  Purely structural — pass a conforming
-    document on to ``CampaignSpec.from_dict`` for the semantic checks
+    :data:`CAMPAIGN_SCHEMA`).  Purely structural;
+    ``CampaignSpec.from_dict`` runs it, then the semantic checks
     (kernel registry, backend axes, partition schemes).
     """
     errors: list[str] = []

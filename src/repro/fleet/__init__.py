@@ -10,18 +10,21 @@ publishes into the same content-addressed store through the claim
 leases campaigns already use, so the store stays the single source of
 truth and a re-handed job is a cache hit, not a second build.
 
-Four pieces:
+Three pieces:
 
 * :mod:`.protocol` — length-delimited JSON frames, the versioned
   handshake, and the retrying synchronous :class:`~.protocol.FleetClient`;
-* :mod:`.schema` — the versioned JSON Schema for campaign specs and a
-  dependency-free validator (``repro campaign validate``);
 * :mod:`.coordinator` — pure scheduling state: round-robin across
   campaigns, per-worker job leases, requeue on worker loss, attempt
   caps, admission control;
 * :mod:`.server` / :mod:`.worker` — the asyncio server and the worker
   loop (TCP mode, plus a socketless spool mode for air-gapped fleets
   that share only the filesystem).
+
+Submitted spec documents are checked by
+:meth:`CampaignSpec.from_dict <repro.engine.campaign.CampaignSpec.from_dict>`
+against the campaign schema in :mod:`repro.engine.schema`, as every
+other loader checks them.
 """
 
 from __future__ import annotations
@@ -36,15 +39,8 @@ from .protocol import (
     read_frame,
     write_frame,
 )
-from .schema import (
-    CAMPAIGN_SCHEMA,
-    CAMPAIGN_SCHEMA_VERSION,
-    validate_campaign,
-)
 
 __all__ = [
-    "CAMPAIGN_SCHEMA",
-    "CAMPAIGN_SCHEMA_VERSION",
     "FleetClient",
     "FleetCoordinator",
     "FleetError",
@@ -52,6 +48,5 @@ __all__ = [
     "PROTOCOL_VERSION",
     "parse_address",
     "read_frame",
-    "validate_campaign",
     "write_frame",
 ]

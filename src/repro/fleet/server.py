@@ -22,7 +22,6 @@ from .. import obs
 from ..engine import CampaignSpec
 from .coordinator import FleetCoordinator, SaturatedError
 from .protocol import MAX_FRAME_BYTES, PROTOCOL_VERSION, FleetProtocolError
-from .schema import validate_campaign
 
 __all__ = ["FleetServer"]
 
@@ -39,6 +38,8 @@ async def _read_frame(reader: asyncio.StreamReader) -> dict | None:
         header = await reader.readline()
     except (asyncio.IncompleteReadError, ConnectionError):
         return None
+    except ValueError:  # no newline within the stream's line limit
+        raise FleetProtocolError("unterminated frame header") from None
     if not header:
         return None
     try:
@@ -235,16 +236,8 @@ class FleetServer:
         return {"op": "error", "error": f"unknown op {op!r}"}
 
     async def _op_submit(self, message: dict) -> dict:
-        document = message.get("spec")
-        violations = validate_campaign(document)
-        if violations:
-            return {
-                "op": "error",
-                "error": "campaign spec rejected",
-                "violations": violations,
-            }
         try:
-            spec = CampaignSpec.from_dict(document)
+            spec = CampaignSpec.from_dict(message.get("spec"))
         except (KeyError, ValueError) as exc:
             return {"op": "error", "error": str(exc)}
         try:

@@ -7,7 +7,9 @@ Two transports, one evaluation path:
 * **spool mode** (``repro worker --store-root PATH``) — no network at
   all: campaign specs dropped under ``<root>/fleet/spool/`` are picked
   up and evaluated point by point, for fleets whose machines share
-  only the filesystem.
+  only the filesystem.  Spool workers on one root share a campaign:
+  each passes over the points a live peer holds the lease on, and
+  settles them only after the rest.
 
 Either way :func:`evaluate_point` is the unit of work: one
 :meth:`TraceStore.get_result <repro.engine.store.TraceStore.get_result>`
@@ -71,6 +73,12 @@ def _points_of(spec: CampaignSpec) -> list:
     return points
 
 
+def _result_key(kernel, scenario) -> ResultKey:
+    return ResultKey.make(
+        kernel_trace_key(kernel.name, n=kernel.n, seed=kernel.seed), scenario
+    )
+
+
 def evaluate_point(
     spec: CampaignSpec, index: int, *, store: TraceStore | None = None
 ) -> dict[str, Any]:
@@ -89,9 +97,7 @@ def evaluate_point(
             f"({len(points)} points)"
         )
     kernel, scenario = points[index]
-    key = ResultKey.make(
-        kernel_trace_key(kernel.name, n=kernel.n, seed=kernel.seed), scenario
-    )
+    key = _result_key(kernel, scenario)
     started = time.perf_counter()
     computed = False
 
@@ -216,9 +222,12 @@ def run_spool_worker(
 
     Specs are ``<spool>/<anything>.json``; a finished campaign gains a
     ``<same-stem>.done`` marker.  Multiple spool workers over one root
-    cooperate point by point through the store's claims — the marker
-    is written by whichever worker settles the campaign's last point
-    it can see, and writing it twice is harmless.  ``once=True``
+    cooperate point by point through the store's claims: a first pass
+    skips every point whose result lease a live peer holds, and a
+    second pass settles those (mostly cache hits by then), so workers
+    split a campaign instead of queueing behind one another.  The
+    marker is written by whichever worker settles the campaign's last
+    point it can see, and writing it twice is harmless.  ``once=True``
     processes the current backlog and returns (the CI-friendly mode);
     otherwise the worker polls every ``poll_s`` seconds forever.
     """
@@ -237,9 +246,15 @@ def run_spool_worker(
                 campaign=spec.digest[:8],
                 points=spec.n_points,
             )
-            for index in range(spec.n_points):
+            held = []
+            for index, (kernel, scenario) in enumerate(_points_of(spec)):
+                if store.lease_holder(_result_key(kernel, scenario).ref):
+                    held.append(index)
+                else:
+                    evaluate_point(spec, index, store=store)
+            for index in held:
                 evaluate_point(spec, index, store=store)
-                handled += 1
+            handled += spec.n_points
             marker.write_text(spec.digest + "\n")
         if once:
             return 0

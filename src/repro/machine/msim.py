@@ -62,7 +62,7 @@ from ..memory.pages import PageTable
 from ..obs.profile import phase as _phase
 from .event import EventQueue
 from .network import Topology, make_topology
-from .pe import CostModel, PEState
+from .pe import MODES, CostModel, PEState
 
 __all__ = ["TimedMachine", "TimedResult", "serial_time"]
 
@@ -124,8 +124,8 @@ class TimedMachine:
         mode: str = "blocking",
         max_outstanding: int = 4,
     ) -> None:
-        if mode not in ("blocking", "multithreaded"):
-            raise ValueError(f"unknown mode {mode!r}")
+        if mode not in MODES:
+            raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
         self.trace = trace
         self.config = config
         self.costs = costs if costs is not None else CostModel()

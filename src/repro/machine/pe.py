@@ -10,11 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-__all__ = ["CONTENTION_MODELS", "CostModel", "PEState"]
+__all__ = ["CONTENTION_MODELS", "MODES", "CostModel", "PEState"]
 
 
 #: Valid values of :attr:`CostModel.contention_model`.
 CONTENTION_MODELS: tuple[str, ...] = ("none", "per-link")
+
+#: PE execution modes of the timed machine.
+MODES: tuple[str, ...] = ("blocking", "multithreaded")
 
 
 @dataclass(frozen=True)

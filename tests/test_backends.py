@@ -10,7 +10,6 @@ import pytest
 from repro.backends import (
     EvalOutcome,
     Scenario,
-    UnsupportedScenarioError,
     backend_names,
     canonical_backend,
     cost_model,
@@ -28,23 +27,6 @@ def config(**kwargs) -> MachineConfig:
     base = dict(n_pes=4, page_size=32, cache_elems=64)
     base.update(kwargs)
     return MachineConfig(**base)
-
-
-class _KnobError(UnsupportedScenarioError):
-    """Module-level subclass: pickled by reference in the test below."""
-
-
-def _smuggled_reduction_scenario(
-    strategy: str, backend: str = "timed"
-) -> Scenario:
-    """A scenario carrying a reduction strategy the config validator
-    would reject — the only way left to reach a backend's
-    ``UnsupportedScenarioError`` backstop now that every *valid*
-    strategy is modelled everywhere.  (Frozen dataclasses pickle by
-    state, so the smuggled value survives a pool-worker round trip.)"""
-    cfg = config()
-    object.__setattr__(cfg, "reduction_strategy", strategy)
-    return Scenario(config=cfg, backend=backend)
 
 
 class TestRegistry:
@@ -255,59 +237,13 @@ class TestTimedBackend:
         assert outcome.metrics["speedup"] > 0
 
     def test_models_subrange_reductions(self, hydro_trace):
-        """Since the fidelity PR the timed machine replays every
-        strategy the untimed simulator accepts — subrange included."""
+        """The timed machine replays every strategy the untimed
+        simulator accepts — subrange included."""
         scenario = Scenario(
             config=config(reduction_strategy="subrange"), backend="timed"
         )
         outcome = evaluate_scenario(hydro_trace, scenario)
         assert outcome.metrics["finish_time"] > 0
-        assert "subrange" in get_backend("timed").supported_reductions
-
-    def test_unsupported_scenario_error_names_backend_and_knob(
-        self, hydro_trace
-    ):
-        """The structured, picklable error stays as the backstop for a
-        hand-built scenario smuggling a strategy no backend has ever
-        heard of past the config validator."""
-        import pickle
-
-        from repro.backends import UnsupportedScenarioError
-
-        scenario = _smuggled_reduction_scenario("tree")
-        with pytest.raises(UnsupportedScenarioError) as excinfo:
-            evaluate_scenario(hydro_trace, scenario)
-        error = excinfo.value
-        assert error.backend == "timed"
-        assert error.knob == "reduction_strategy"
-        assert error.value == "tree"
-        assert error.supported == ("host", "subrange")
-        assert "timed" in str(error) and "tree" in str(error)
-        # Must survive the pool-worker pickle round trip intact —
-        # fields *and* the rendered message.
-        clone = pickle.loads(pickle.dumps(error))
-        assert isinstance(clone, UnsupportedScenarioError)
-        assert (clone.backend, clone.knob, clone.value, clone.supported) == (
-            "timed", "reduction_strategy", "tree", ("host", "subrange")
-        )
-        assert str(clone) == str(error)
-        # Subclasses keep their identity across the round trip too.
-        sub = pickle.loads(pickle.dumps(_KnobError("b", "k", "v")))
-        assert type(sub) is _KnobError
-
-    def test_unsupported_values_are_sorted_deterministically(self):
-        """However a backend declares its support tuple, the error (and
-        therefore its message) lists the values sorted."""
-        from repro.backends import UnsupportedScenarioError
-
-        error = UnsupportedScenarioError(
-            "b", "k", "v", supported=("zeta", "alpha", "mid")
-        )
-        assert error.supported == ("alpha", "mid", "zeta")
-        assert "('alpha', 'mid', 'zeta')" in str(error)
-        import pickle
-
-        assert str(pickle.loads(pickle.dumps(error))) == str(error)
 
     @pytest.mark.parametrize("mode", ["blocking", "multithreaded"])
     def test_counters_bit_identical_to_untimed_without_cache(
@@ -425,8 +361,8 @@ class TestCampaignBackendAxes:
 
     def test_timed_accepts_subrange_reductions(self):
         """Both built-in evaluators model both strategies, so the full
-        reduction axis sweeps on the timed backend too; the up-front
-        spec rejection stays for strategies nobody declares."""
+        reduction axis sweeps on the timed backend too; the spec
+        refuses any other strategy when it is built."""
         spec = CampaignSpec(
             name="x", kernels=("iccg",), backend="timed",
             reduction_strategies=("host", "subrange"),
@@ -436,10 +372,29 @@ class TestCampaignBackendAxes:
             name="x", kernels=("iccg",),
             reduction_strategies=("host", "subrange"),
         )
-        with pytest.raises(ValueError, match="does not model"):
+        with pytest.raises(ValueError, match="unknown reduction strategy"):
             CampaignSpec(
                 name="x", kernels=("iccg",), backend="timed",
                 reduction_strategies=("host", "tree"),
+            )
+
+    @pytest.mark.parametrize("backend", ["untimed", "timed"])
+    @pytest.mark.parametrize(
+        "axis, value, message",
+        [
+            ("cache_policies", "lur", "unknown cache policy 'lur'"),
+            ("reduction_strategies", "tree", "unknown reduction strategy"),
+        ],
+    )
+    def test_unknown_machine_knobs_refused_at_construction(
+        self, backend, axis, value, message
+    ):
+        """A typo fails when the spec is built, before any trace is
+        acquired, whichever backend would have evaluated it."""
+        with pytest.raises(ValueError, match=message):
+            CampaignSpec(
+                name="x", kernels=("iccg",), backend=backend,
+                **{axis: (value,)},
             )
 
     def test_bad_axis_values_rejected(self):

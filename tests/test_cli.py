@@ -179,6 +179,30 @@ class TestCommands:
         assert "page_fetches" in out  # the record table, not the series view
         assert "fifo" in out and "lru" in out
 
+    def test_sweep_refuses_a_malformed_campaign_file(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kernels": ["iccg"], "pes": 4}))
+        assert main(["sweep", "--campaign", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "$.pes" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "document, needle",
+        [
+            ({"kernels": ["iccg"], "cache_policies": ["lur"]}, "'lur'"),
+            ({"kernels": ["hydro_fragmnet"]}, "unknown kernel"),
+        ],
+    )
+    def test_campaign_validate_refuses_typos(
+        self, capsys, tmp_path, document, needle
+    ):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(document))
+        assert main(["campaign", "validate", str(path)]) == 1
+        out = capsys.readouterr().out
+        assert "INVALID" in out and needle in out
+
     def test_sweep_unknown_backend(self, capsys):
         # "service" is an executor, not a backend.
         for backend in ("quantum", "service"):

@@ -81,8 +81,14 @@ class TestCampaignSpec:
         assert data["partitions"] == ["modulo", "block"]
 
     def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown campaign spec keys"):
+        with pytest.raises(ValueError, match=r"\$: unknown key 'cpus'"):
             CampaignSpec.from_dict({"name": "x", "kernels": ["iccg"], "cpus": [1]})
+
+    def test_from_dict_rejects_malformed_documents(self):
+        """The schema gate runs inside ``from_dict``: a scalar where an
+        array belongs is a named violation, not a ``TypeError``."""
+        with pytest.raises(ValueError, match=r"\$\.pes: expected array"):
+            CampaignSpec.from_dict({"kernels": ["iccg"], "pes": 4})
 
     def test_file_round_trip(self, tmp_path):
         spec = acceptance_spec()

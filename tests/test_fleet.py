@@ -31,10 +31,16 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.backends import MODES
+from repro.cache import POLICIES
+from repro.core.simulator import REDUCTION_STRATEGIES
 from repro.engine import CampaignSpec, TraceStore, run_campaign
-from repro.fleet import (
+from repro.engine.schema import (
     CAMPAIGN_SCHEMA,
     CAMPAIGN_SCHEMA_VERSION,
+    validate_campaign,
+)
+from repro.fleet import (
     FleetClient,
     FleetCoordinator,
     FleetError,
@@ -42,7 +48,6 @@ from repro.fleet import (
     PROTOCOL_VERSION,
     parse_address,
     read_frame,
-    validate_campaign,
     write_frame,
 )
 from repro.fleet.coordinator import SaturatedError
@@ -151,11 +156,20 @@ class TestSchema:
         # accepts it; CampaignSpec.from_dict rejects it.
         document = {"kernels": ["no_such_kernel"]}
         assert validate_campaign(document) == []
-        spec = CampaignSpec.from_dict(document)
-        with pytest.raises(KeyError):
-            from repro.kernels import get_kernel
+        with pytest.raises(KeyError, match="unknown kernel"):
+            CampaignSpec.from_dict(document)
 
-            get_kernel(spec.kernels[0].name)
+    def test_enums_read_the_constructors_lists(self):
+        properties = CAMPAIGN_SCHEMA["properties"]
+        enums = {
+            axis: properties[axis]["items"]["enum"]
+            for axis in ("cache_policies", "reduction_strategies", "modes")
+        }
+        assert enums == {
+            "cache_policies": sorted(POLICIES),
+            "reduction_strategies": list(REDUCTION_STRATEGIES),
+            "modes": list(MODES),
+        }
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +339,28 @@ class TestServer:
                     }
                 )
 
+    def test_misspelt_cache_policy_is_refused(self, live_server):
+        with FleetClient(self.address(live_server)) as client:
+            with pytest.raises(FleetError, match="'lur'"):
+                client.request(
+                    {
+                        "op": "submit",
+                        "spec": {**SMALL_SPEC, "cache_policies": ["lur"]},
+                    }
+                )
+
+    def test_oversized_frame_header_gets_an_error_frame(self, live_server):
+        """70,000 digits with no newline overrun the stream's line
+        limit; the handler answers with an error frame, as for any
+        other malformed frame, instead of dying."""
+        with socket.create_connection(
+            self.address(live_server), timeout=10
+        ) as sock:
+            sock.sendall(b"7" * 70_000)
+            reply = read_frame(sock.makefile("rb"))
+        assert reply["op"] == "error"
+        assert "unterminated frame header" in reply["error"]
+
     def test_fetch_requires_the_worker_role(self, live_server):
         with FleetClient(self.address(live_server)) as client:
             with pytest.raises(FleetError, match="role=worker"):
@@ -413,6 +449,48 @@ class TestEvaluatePoint:
         # A second pass sees the marker and does nothing.
         assert run_spool_worker(store=store, once=True) == 0
         assert store.n_results() == spec.n_points
+
+    def test_spool_workers_share_a_campaign(self, tmp_path, monkeypatch):
+        """Two spool workers on one root split a campaign: each passes
+        over the points the other holds a lease on instead of queueing
+        behind it, and every point is still computed exactly once."""
+        import repro.fleet.worker as worker_module
+
+        monkeypatch.setenv("REPRO_FLEET_STALL_S", "0.05")
+        root = tmp_path / "store"
+        spec = small_spec(pes=[1, 2, 4, 8])
+        spool = spool_dir(TraceStore(root))
+        spool.mkdir(parents=True)
+        spec.save(spool / "job.json")
+        stores = [TraceStore(root), TraceStore(root)]
+        computed = {id(store): 0 for store in stores}
+        evaluate = worker_module.evaluate_point
+
+        def counting(spec, index, *, store):
+            result = evaluate(spec, index, store=store)
+            computed[id(store)] += result["computed"]
+            return result
+
+        monkeypatch.setattr(worker_module, "evaluate_point", counting)
+        errors: list[Exception] = []
+
+        def work(store: TraceStore) -> None:
+            try:
+                run_spool_worker(store=store, once=True)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=work, args=(store,)) for store in stores
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not errors
+        assert all(count >= 1 for count in computed.values()), computed
+        assert sum(computed.values()) == spec.n_points
 
 
 # ---------------------------------------------------------------------------

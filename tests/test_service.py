@@ -14,10 +14,9 @@ handed (``run_campaign(spec, service=svc)``), never a backend:
   every campaign evaluates each of its own points;
 * the admission queue is bounded — a grid larger than the queue still
   completes, it just trickles in;
-* errors raised inside resident workers (including
-  :class:`UnsupportedScenarioError`) survive the trip back with their
-  structured fields intact, and a point that fails mid-stream leaves
-  no claim and no result behind.
+* errors raised inside resident workers survive the trip back with
+  their type and message intact, and a point that fails mid-stream
+  leaves no claim and no result behind.
 """
 
 from __future__ import annotations
@@ -33,7 +32,6 @@ import pytest
 
 from repro.backends import (
     Scenario,
-    UnsupportedScenarioError,
     backend_names,
     evaluate_scenario,
     evaluation_count,
@@ -267,21 +265,16 @@ class TestSharedPool:
     def test_unsupported_scenario_error_crosses_the_service(
         self, hydro_trace, make_service
     ):
-        """A strategy no backend has heard of (smuggled past the
-        config validator — every valid one is modelled now) hits the
-        backend's backstop inside a pool worker and must come back
-        with its structured fields intact."""
+        """A scenario the timed machine refuses (a mode smuggled past
+        ``Scenario``'s own check) raises inside a pool worker, and the
+        submitter gets that exception back with its type and message."""
         service = make_service(workers=1)
-        config = MachineConfig(n_pes=2, page_size=32)
-        object.__setattr__(config, "reduction_strategy", "tree")
-        scenario = Scenario(config=config, backend="timed")
-        with pytest.raises(UnsupportedScenarioError) as excinfo:
+        scenario = Scenario(
+            config=MachineConfig(n_pes=2, page_size=32), backend="timed"
+        )
+        object.__setattr__(scenario, "mode", "warp")
+        with pytest.raises(ValueError, match="unknown mode 'warp'"):
             service.submit(hydro_trace, scenario).result(timeout=120)
-        # The structured fields survived the worker → parent pickle.
-        assert excinfo.value.backend == "timed"
-        assert excinfo.value.knob == "reduction_strategy"
-        assert excinfo.value.value == "tree"
-        assert excinfo.value.supported == ("host", "subrange")
 
     def test_bounded_queue_still_completes_large_grids(
         self, tmp_path, make_service

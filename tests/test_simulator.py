@@ -45,6 +45,19 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             MachineConfig(n_pes=1, page_size=32, cache_elems=-1)
 
+    @pytest.mark.parametrize("cache_elems", [64, 0])
+    def test_unknown_cache_policy_refused_with_the_cache_on_or_off(
+        self, cache_elems
+    ):
+        """A misspelt policy fails here, not deep inside a replay — and
+        not silently with the cache off, where it would still change
+        the config's digest."""
+        with pytest.raises(ValueError, match="unknown cache policy 'lur'"):
+            MachineConfig(
+                n_pes=4, page_size=32, cache_elems=cache_elems,
+                cache_policy="lur",
+            )
+
     def test_label(self):
         assert "pes=4" in MachineConfig(n_pes=4, page_size=32).label()
 

@@ -27,7 +27,6 @@ from hypothesis import strategies as st
 
 from repro.backends import (
     Scenario,
-    UnsupportedScenarioError,
     evaluate_scenario,
     get_backend,
 )
@@ -344,21 +343,8 @@ class TestFifoFixedPoint:
 class TestBackendEnvelope:
     def test_registered_with_schema(self):
         backend = get_backend("untimed")
-        assert backend.supported_reductions == ("host", "subrange")
         assert "vec_fallback_pes" in backend.result_schema
         assert backend.scenario_axes == ()
-
-    def test_unknown_cache_policy_is_unsupported(self, hydro_trace):
-        config = MachineConfig(n_pes=4, page_size=32, cache_elems=64)
-        object.__setattr__(config, "cache_policy", "plru")
-        with pytest.raises(UnsupportedScenarioError, match="plru"):
-            evaluate_scenario(hydro_trace, Scenario(config=config))
-
-    def test_smuggled_reduction_strategy_is_unsupported(self, hydro_trace):
-        config = MachineConfig(n_pes=4, page_size=32)
-        object.__setattr__(config, "reduction_strategy", "tree")
-        with pytest.raises(UnsupportedScenarioError, match="'untimed'"):
-            evaluate_scenario(hydro_trace, Scenario(config=config))
 
     def test_profile_adds_vec_phase_columns(self, hydro_trace, monkeypatch):
         monkeypatch.setenv("REPRO_PROFILE", "1")
