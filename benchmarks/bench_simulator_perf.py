@@ -6,9 +6,9 @@ interpreter, configuration evaluation by the scalar simulator, and the
 same evaluation by the columnar engine behind the ``untimed`` backend.
 Evaluation must be much cheaper than generation — that asymmetry is
 what makes the trace-once / sweep-many design worthwhile — and the
-columnar cases exist to keep its margin honest (the committed
-``BENCH_vec.json`` speedup gate lives in ``tools/vec_bench.py``; these
-cases are the statistically-timed artifact CI uploads alongside it).
+columnar cases exist to keep its margin honest.  These cases are a
+statistically-timed artifact CI uploads; campaign-level replay time
+is measured by the campaign benchmark (``benchmarks/campaign/``).
 """
 
 from __future__ import annotations

@@ -21,7 +21,7 @@ directories derived from their digest (``traces/ab/…npz``,
 ``results/cd/…npz``).  There is no index file: each artifact is
 written once by atomic rename, its path names it, and ``stat`` holds
 its byte size, creation time (mtime) and last use (atime, re-stamped
-on every hit).  ``TraceStore(max_bytes=…, policy="lru")`` bounds disk use:
+on every hit).  ``TraceStore(max_bytes=…)`` bounds disk use:
 ``store.gc()`` evicts least-recently-used *result* entries first,
 then traces — results are recomputable from a stored trace in
 milliseconds, a trace costs an interpreter run — and never evicts an

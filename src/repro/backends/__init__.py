@@ -18,8 +18,7 @@ puts both — and any backend a user registers — behind one contract:
   dispatches through (:func:`~repro.backends.base.canonical_backend`
   resolves aliases first);
 * :func:`~repro.backends.base.evaluate_scenario` — the single counted
-  evaluation path (mirrors the trace store's interpretation counter),
-  and the one place ``REPRO_PROFILE`` phase columns are added.
+  evaluation path (mirrors the trace store's interpretation counter).
 
 Importing this package registers the two built-ins: ``"untimed"``
 (:class:`~repro.backends.untimed_vec.UntimedBackend` — the paper's

@@ -30,7 +30,6 @@ from ..core.stats import AccessStats
 from ..ir.trace import Trace
 from ..machine.network import canonical_topology
 from ..machine.pe import MODES, CostModel
-from ..obs import profile
 
 __all__ = [
     "COST_MODEL_PRESETS",
@@ -387,24 +386,8 @@ def record_evaluations(n: int) -> None:
     _evaluations += int(n)
 
 
-#: Metric-column prefix of the ``REPRO_PROFILE`` phase timings.
-PROFILE_PREFIX = "profile_"
-
-
 def evaluate_scenario(trace: Trace, scenario: Scenario) -> EvalOutcome:
-    """Dispatch one evaluation through the registry (counted).
-
-    ``REPRO_PROFILE`` adds the engine's phase wall times as
-    ``profile_<phase>_s`` columns; the result store never keeps them.
-    """
+    """Dispatch one evaluation through the registry (counted)."""
     global _evaluations
     _evaluations += 1
-    backend = get_backend(scenario.backend)
-    if not profile.enabled():
-        return backend.evaluate(trace, scenario)
-    with profile.collect() as phases:
-        outcome = backend.evaluate(trace, scenario)
-    metrics = dict(outcome.metrics)
-    for name, seconds in phases.items():
-        metrics[f"{PROFILE_PREFIX}{name}_s"] = seconds
-    return replace(outcome, metrics=metrics)
+    return get_backend(scenario.backend).evaluate(trace, scenario)

@@ -234,7 +234,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     budget = stats["max_bytes"]
     rows = [
         ["root", stats["root"]],
-        ["policy", stats["policy"]],
         ["max_bytes", "unbounded" if budget is None else budget],
         ["shards", stats["shards"]],
         ["traces", f"{stats['trace_entries']} entries, "

@@ -32,9 +32,9 @@ import numpy as np
 
 from ..cache import POLICIES, make_cache
 from ..ir.loops import Program
-from ..obs.profile import phase as _phase
 from ..ir.trace import Trace
 from ..memory.pages import PageTable
+from ..obs.spans import span
 from .access import AccessKind
 from .partition import ModuloPartition, PartitionScheme, named_scheme
 from .stats import AccessStats
@@ -346,10 +346,10 @@ def simulate(trace: Trace, config: MachineConfig) -> SimResult:
         )
 
     # --- owner-computes: executing PE of each statement instance -----------
-    # Profiling phases (classify / cache_sim / reduction) bracket the
-    # hot regions for `repro.obs` — free no-op context managers unless
-    # a collector or the event sink is active.
-    with _phase("classify"):
+    # ``phase.*`` spans (classify / cache_sim / reduction) bracket the
+    # hot regions for `repro.obs` — the shared no-op span unless the
+    # event sink or a subscriber is active.
+    with span("phase.classify"):
         w_pages = trace.w_flat // ps
         exec_pe = _owners_by_array(
             trace.w_arr, w_pages, tables, config.partition, n_pes
@@ -366,7 +366,7 @@ def simulate(trace: Trace, config: MachineConfig) -> SimResult:
     def finish(
         page_fetches: np.ndarray, distinct_pages: np.ndarray
     ) -> SimResult:
-        with _phase("reduction"):
+        with span("phase.reduction"):
             if (
                 config.reduction_strategy == "subrange"
                 and trace.reduction_mask.any()
@@ -382,7 +382,7 @@ def simulate(trace: Trace, config: MachineConfig) -> SimResult:
         )
 
     # --- read classification -------------------------------------------------
-    with _phase("classify"):
+    with span("phase.classify"):
         reads_per_instance = np.diff(trace.r_ptr)
         r_exec = np.repeat(exec_pe, reads_per_instance)
         r_pages = trace.r_flat // ps
@@ -406,7 +406,7 @@ def simulate(trace: Trace, config: MachineConfig) -> SimResult:
     nl_page = r_pages[nonlocal_idx]
 
     if not config.has_cache:
-        with _phase("cache_sim"):
+        with span("phase.cache_sim"):
             remote = np.bincount(nl_exec, minlength=n_pes)
             stats.add_vector(AccessKind.REMOTE_READ, remote)
             page_fetches += remote
@@ -420,7 +420,7 @@ def simulate(trace: Trace, config: MachineConfig) -> SimResult:
 
     # --- cache walk, per PE, run-length compressed ---------------------------
     # Composite key packs (array, page) into one int64 for fast comparison.
-    with _phase("cache_sim"):
+    with span("phase.cache_sim"):
         composite = nl_arr * (1 << 40) + nl_page
         cached_per_pe = np.zeros(n_pes, dtype=np.int64)
         remote_per_pe = np.zeros(n_pes, dtype=np.int64)

@@ -56,9 +56,9 @@ Everything capacity- and policy-independent — piece boundaries, owner
 classification, the write/local closed-form sums, the reduced runs
 and their reuse-distance profile — is compiled once per (op, machine
 geometry) into an :class:`_OpProgram` memoised on the trace, so warm
-replays of a stored trace (the store's steady state, and what
-``tools/superop_bench.py`` measures) reduce to comparing the distance
-profile against the cache capacity and a handful of segment sums.
+replays of a stored trace (the store's steady state) reduce to
+comparing the distance profile against the cache capacity and a
+handful of segment sums.
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ import numpy as np
 from ..cache import make_cache
 from ..ir.superops import SuperOp, SuperOpTrace
 from ..memory.pages import PageTable
-from ..obs.profile import phase as _phase
+from ..obs.spans import span
 from .access import AccessKind
 from .simulator import MachineConfig, SimResult, _owners_by_array, simulate
 from .stats import AccessStats
@@ -194,7 +194,7 @@ class _Replay:
         r_flat: np.ndarray,
     ) -> None:
         """Classify + cache-walk explicit flat columns (trace order)."""
-        with _phase("classify"):
+        with span("phase.classify"):
             exec_pe = self._owners(w_arr, w_flat // self.ps)
             self.writes += np.bincount(exec_pe, minlength=self.n_pes)
             if len(r_arr) == 0:
@@ -209,7 +209,7 @@ class _Replay:
             nonlocal_idx = np.flatnonzero(~local_mask)
         if nonlocal_idx.size == 0:
             return
-        with _phase("cache_sim"):
+        with span("phase.cache_sim"):
             nl_exec = r_exec[nonlocal_idx]
             nl_arr = r_arr[nonlocal_idx].astype(np.int64)
             nl_page = r_pages[nonlocal_idx]
@@ -301,7 +301,7 @@ class _Replay:
         self.local += prog.local
         if prog.rpe is None:  # the op has no nonlocal reads at all
             return
-        with _phase("cache_sim"):
+        with span("phase.cache_sim"):
             slow_pes = self._op_decide(prog)
             self.closed_pe_ops += prog.pe_ids.size - len(slow_pes)
             self.piece_pe_ops += len(slow_pes)
@@ -334,7 +334,7 @@ class _Replay:
             self.config.partition.label,
         )
         if key not in memo:
-            with _phase("classify"):
+            with span("phase.classify"):
                 memo[key] = self._compile_op(op)
         return memo[key]
 

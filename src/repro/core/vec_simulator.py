@@ -42,10 +42,10 @@ contract is enforced generatively by ``tests/test_vec_fidelity.py``.
 The full decision tree across backends lives in
 ``docs/fastpaths.md``.
 
-Profiling phases mirror the scalar engine's (``classify`` /
+Its ``phase.*`` spans mirror the scalar engine's (``classify`` /
 ``cache_sim`` / ``reduction``) as ``classify_vec`` / ``cache_sim_vec``
-plus ``fallback_scalar`` for the delegated spans, so
-``tools/replay_profile.py`` can attribute replay time to the
+plus ``fallback_scalar`` for the delegated spans, so a traced run
+(``REPRO_OBS``, ``repro obs summary``) attributes replay time to the
 vectorised and scalar halves separately.
 """
 
@@ -56,7 +56,7 @@ import numpy as np
 from ..cache import make_cache
 from ..ir.trace import Trace
 from ..memory.pages import PageTable
-from ..obs.profile import phase as _phase
+from ..obs.spans import span
 from .access import AccessKind
 from .simulator import (
     MachineConfig,
@@ -306,7 +306,7 @@ def simulate_vec(
 
     columns = trace.columnar()
 
-    with _phase("classify_vec"):
+    with span("phase.classify_vec"):
         w_pages = trace.w_flat // ps
         exec_pe = _owners_by_array(
             trace.w_arr, w_pages, tables, config.partition, n_pes
@@ -329,7 +329,7 @@ def simulate_vec(
         ):
             # The combine phase is inherently ordered per accumulator;
             # charge it through the scalar engine's shared routine.
-            with _phase("fallback_scalar"):
+            with span("phase.fallback_scalar"):
                 _charge_subrange_combine(
                     trace, tables, config, exec_pe, stats
                 )
@@ -340,7 +340,7 @@ def simulate_vec(
             np.zeros(n_pes, dtype=np.int64), np.zeros(n_pes, dtype=np.int64)
         )
 
-    with _phase("classify_vec"):
+    with span("phase.classify_vec"):
         r_exec = exec_pe[columns.r_instance]
         r_pages = trace.r_flat // ps
         r_owner = _owners_by_array(
@@ -358,7 +358,7 @@ def simulate_vec(
     if nonlocal_idx.size == 0:
         return finish(page_fetches, distinct_pages)
 
-    with _phase("cache_sim_vec"):
+    with span("phase.cache_sim_vec"):
         nl_exec = r_exec[nonlocal_idx]
         nl_arr = columns.r_arr64[nonlocal_idx]
         nl_page = r_pages[nonlocal_idx]
@@ -371,7 +371,7 @@ def simulate_vec(
         seg_keys = composite[order]
 
     if not config.has_cache:
-        with _phase("cache_sim_vec"):
+        with span("phase.cache_sim_vec"):
             remote = np.bincount(nl_exec, minlength=n_pes)
             stats.add_vector(AccessKind.REMOTE_READ, remote)
             page_fetches += remote
@@ -382,7 +382,7 @@ def simulate_vec(
     cached_per_pe = np.zeros(n_pes, dtype=np.int64)
     remote_per_pe = np.zeros(n_pes, dtype=np.int64)
     pending: list[tuple[int, np.ndarray, np.ndarray, int]] = []
-    with _phase("cache_sim_vec"):
+    with span("phase.cache_sim_vec"):
         capacity = config.cache_pages
         for pe, start, end in _segments(seg_exec):
             keys = seg_keys[start:end]
@@ -410,7 +410,7 @@ def simulate_vec(
             cached_per_pe[pe] = keys.size - misses
             remote_per_pe[pe] = misses
     if pending:
-        with _phase("fallback_scalar"):
+        with span("phase.fallback_scalar"):
             for pe, run_arrs, run_pages, n_accesses in pending:
                 misses = _count_misses_scalar(
                     run_arrs, run_pages, config.cache_policy, capacity

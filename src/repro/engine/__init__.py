@@ -79,7 +79,7 @@ whole record::
                              trace and result exactly once, and steal
                              a crashed holder's lease after its TTL
 
-``TraceStore(max_bytes=..., policy="lru")`` (or
+``TraceStore(max_bytes=...)`` (or
 ``$REPRO_STORE_MAX_BYTES``) turns on eviction: ``store.gc()`` — also
 run after any put that takes the store over budget — drops
 least-recently-used (oldest atime) **result entries first, then

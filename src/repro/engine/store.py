@@ -51,16 +51,15 @@ therefore shards::
 * **Recency** — a put sets atime = mtime from one clock, and every hit
   re-stamps atime only (``os.utime``), so LRU order survives process
   boundaries with nothing to flush.
-* **GC** — ``TraceStore(max_bytes=..., policy="lru")`` bounds disk
-  use: :meth:`TraceStore.gc` (also run automatically after a put that
+* **GC** — ``TraceStore(max_bytes=...)`` bounds disk use:
+  :meth:`TraceStore.gc` (also run automatically after a put that
   takes the store over its budget) evicts least-recently-used
   **result-cache entries first, then traces** (results are cheap to
   recompute from a stored trace; a trace costs an interpreter run) —
-  oldest atime first, or oldest mtime under ``policy="fifo"`` — stops
-  as soon as the budget is met, and never evicts an entry a reader
-  currently has pinned (:meth:`TraceStore.reading`).  Evictions are
-  counted per kind (``counters.evictions`` /
-  ``result_counters.evictions``).  Puts stay O(1): with no budget they
+  oldest atime first — stops as soon as the budget is met, and never
+  evicts an entry a reader currently has pinned
+  (:meth:`TraceStore.reading`).  Evictions are counted per kind
+  (``counters.evictions`` / ``result_counters.evictions``).  Puts stay O(1): with no budget they
   do no scan at all, and with one they add to a running byte total
   that one scan seeds and every GC pass recomputes.
 * **Worker access logs** — multiprocessing pool workers (and service
@@ -112,14 +111,14 @@ import time
 import warnings
 import zipfile
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .. import obs
-from ..backends.base import PROFILE_PREFIX, EvalOutcome, Scenario
+from ..backends.base import EvalOutcome, Scenario
 from ..core.stats import AccessStats
 from ..ir.loops import Program
 from ..ir.trace import TRACE_DIGEST_VERSION, Trace
@@ -544,13 +543,6 @@ class GCReport:
         }
 
 
-#: Eviction policies: an entry -> sort key (evict smallest first).
-_POLICIES: dict[str, Callable[[_Entry], int]] = {
-    "lru": lambda entry: entry.atime_ns,
-    "fifo": lambda entry: entry.mtime_ns,
-}
-
-
 def _lease_fields(path: Path) -> dict[str, str]:
     """Event fields (kind, ref) recovered from a lease file name."""
     letter, _, rest = path.name.partition("-")
@@ -621,13 +613,12 @@ class TraceStore:
     for the on-disk layout, stat-based recency and the GC policy.
 
     ``max_bytes`` bounds the store's disk use: when set, a put that
-    takes the store over budget triggers an LRU (or FIFO, per
-    ``policy``) garbage-collection pass that evicts result-cache
-    entries first, then traces, skipping entries currently pinned by a
-    reader.  Builds and result computations are single-flighted per
-    key, and reads pin their entry so GC can never unlink a file
-    mid-read — the store is safe for any number of threads/streams in
-    one process.
+    takes the store over budget triggers an LRU garbage-collection
+    pass that evicts result-cache entries first, then traces, skipping
+    entries currently pinned by a reader.  Builds and result
+    computations are single-flighted per key, and reads pin their
+    entry so GC can never unlink a file mid-read — the store is safe
+    for any number of threads/streams in one process.
 
     Builds are additionally guarded *across processes* by lock-file
     leases (see the module docstring): a process that wins the
@@ -644,21 +635,14 @@ class TraceStore:
         root: str | os.PathLike,
         *,
         max_bytes: int | None = None,
-        policy: str = "lru",
         lease_ttl_s: float = LEASE_TTL_S,
     ) -> None:
-        if policy not in _POLICIES:
-            raise ValueError(
-                f"unknown eviction policy {policy!r}; "
-                f"choose from {tuple(sorted(_POLICIES))}"
-            )
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
         if lease_ttl_s <= 0:
             raise ValueError("lease_ttl_s must be positive")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.policy = policy
         self.lease_ttl_s = lease_ttl_s
         self.counters = StoreCounters()
         #: where each result lookup was satisfied (mirrors ``counters``)
@@ -1501,14 +1485,6 @@ class TraceStore:
         self._release("result", key.ref)
 
     def put_result(self, key: ResultKey, outcome: EvalOutcome) -> Path:
-        # Physics only: REPRO_PROFILE's wall times belong to the run
-        # that measured them, not to the point.
-        metrics = {
-            name: value
-            for name, value in outcome.metrics.items()
-            if not name.startswith(PROFILE_PREFIX)
-        }
-        outcome = replace(outcome, metrics=metrics)
         with self._lock:
             self._result_memory[key] = outcome
         path = _save_outcome(self.result_path_for(key), outcome)
@@ -1627,8 +1603,7 @@ class TraceStore:
         Eviction order is **results first, then traces** (results are
         recomputable from a stored trace in milliseconds; a trace costs
         an interpreter run), least-recently-used (oldest atime) first
-        within each kind — or oldest-created (mtime) under
-        ``policy="fifo"``.  The pass stops the moment the budget is met
+        within each kind.  The pass stops the moment the budget is met
         — it never over-evicts below ``max_bytes`` — and entries pinned
         by an in-flight reader are skipped even if that leaves the
         store over budget.  With no budget (neither argument nor
@@ -1647,9 +1622,8 @@ class TraceStore:
             total = sum(entry.bytes for entry in entries)
             report = GCReport(total_bytes=total, max_bytes=budget)
             if budget is not None and total > budget:
-                order = _POLICIES[self.policy]
                 entries.sort(
-                    key=lambda e: (e.kind != "result", order(e), e.ref)
+                    key=lambda e: (e.kind != "result", e.atime_ns, e.ref)
                 )
                 for entry in entries:
                     if total <= budget:
@@ -1676,7 +1650,6 @@ class TraceStore:
                 traces=report.evicted_traces,
                 freed_bytes=report.freed_bytes,
                 total_bytes=report.total_bytes,
-                policy=self.policy,
             )
         return report
 
@@ -1711,7 +1684,6 @@ class TraceStore:
         )
         registry = obs.MetricsRegistry()
         registry.label("root", str(self.root))
-        registry.label("policy", self.policy)
         registry.label("max_bytes", self.max_bytes)
         for kind in ("trace", "result"):
             mine = [entry for entry in entries if entry.kind == kind]
@@ -1779,7 +1751,7 @@ class TraceStore:
         return (
             f"TraceStore({str(self.root)!r}, entries={len(self)}, "
             f"results={self.n_results()}, "
-            f"max_bytes={self.max_bytes}, policy={self.policy!r})"
+            f"max_bytes={self.max_bytes})"
         )
 
 

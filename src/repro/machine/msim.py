@@ -59,7 +59,7 @@ from ..core.simulator import (
 from ..core.stats import AccessStats
 from ..ir.trace import Trace
 from ..memory.pages import PageTable
-from ..obs.profile import phase as _phase
+from ..obs.spans import span
 from .event import EventQueue
 from .network import Topology, make_topology
 from .pe import MODES, CostModel, PEState
@@ -143,7 +143,7 @@ class TimedMachine:
         self.tables = [
             PageTable(size, config.page_size) for size in trace.array_sizes
         ]
-        with _phase("setup"):
+        with span("phase.setup"):
             self._build_placement()
             self._build_memory_state()
         self._pes = [PEState(pe) for pe in range(config.n_pes)]
@@ -232,7 +232,7 @@ class TimedMachine:
                 _Context(local_idx=i) for i in range(len(state.instances))
             )
             self._schedule_burst(pe, 0.0)
-        with _phase("event_loop"):
+        with span("phase.event_loop"):
             self.queue.run(max_events=20_000_000)
         per_pe_finish = np.asarray(
             [pe_state.busy_until for pe_state in self._pes]

@@ -1,18 +1,16 @@
 """``repro.obs`` — unified telemetry for the evaluation engine.
 
-Four pieces, one import:
+Three pieces, one import:
 
 * **event log** (:mod:`.events`): structured JSONL lifecycle events,
   per-process files merged on campaign completion, enabled by
   ``REPRO_OBS=jsonl:<stem>``;
 * **spans** (:mod:`.spans`): nestable timed regions emitted into the
-  same log, process-safe ids;
+  same log, process-safe ids — including the replay engines' and the
+  timed machine's ``phase.<name>`` spans;
 * **metrics** (:mod:`.metrics`): ``Counter``/``Gauge``/``Histogram``
   registry unifying the store/cache/service/simulator stat schemas,
-  with snapshot-to-dict and Prometheus text export;
-* **profiling** (:mod:`.profile`): per-phase replay timings for the
-  untimed simulator and the timed machine, feeding per-record columns
-  and the ``BENCH_replay.json`` baseline.
+  with snapshot-to-dict and Prometheus text export.
 
 Everything degrades to ~zero cost when nothing is listening.
 """
@@ -36,7 +34,6 @@ from .metrics import (
     Histogram,
     MetricsRegistry,
 )
-from .profile import collect, enabled, phase
 from .progress import ProgressLine
 from .spans import current_span_id, span
 
@@ -48,14 +45,11 @@ __all__ = [
     "MetricsRegistry",
     "ProgressLine",
     "active",
-    "collect",
     "configure",
     "current_span_id",
     "emit",
-    "enabled",
     "event_path",
     "merge",
-    "phase",
     "read_events",
     "span",
     "subscribe",

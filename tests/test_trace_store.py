@@ -463,20 +463,7 @@ class TestEvictionGC:
         _kind, _ref, nbytes = report.evicted[0]
         assert report.total_bytes + nbytes > budget
 
-    def test_fifo_order_ignores_later_use(self, tmp_path):
-        """FIFO evicts the oldest-created entry even when it was used
-        last (recency moves atime, never mtime)."""
-        store = TraceStore(tmp_path, policy="fifo")
-        old = kernel_trace_key("first_diff", n=32)
-        kernel_trace_cached("first_diff", n=32, store=store)
-        kernel_trace_cached("first_diff", n=64, store=store)
-        store.get(old, lambda: (_ for _ in ()).throw(AssertionError()))
-        report = store.gc(max_bytes=store.total_bytes() - 1)
-        assert [ref for _k, ref, _b in report.evicted] == [old.ref]
-
-    def test_lru_order_and_policy_validation(self, tmp_path):
-        with pytest.raises(ValueError, match="eviction policy"):
-            TraceStore(tmp_path, policy="belady")
+    def test_lru_order(self, tmp_path):
         store = TraceStore(tmp_path)
         old = kernel_trace_key("first_diff", n=32)
         new = kernel_trace_key("first_diff", n=64)

@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.backends import (
     Scenario,
     evaluate_scenario,
@@ -223,8 +224,8 @@ class TestBatchedLruWindows:
         )
 
     def test_hydro_2d_bench_case_is_vectorised(self):
-        """The BENCH_vec.json near-parity case: every PE's LRU walk
-        must take the columnar path, bit-identically."""
+        """hydro_2d at 16 PEs with a 256-element LRU cache: every
+        PE's LRU walk must take the columnar path, bit-identically."""
         program, inputs = get_kernel("hydro_2d").build(n=40)
         trace = kernel_trace(program, inputs)
         config = MachineConfig(
@@ -323,9 +324,10 @@ class TestFifoFixedPoint:
         assert misses == _count_misses_scalar(arrs, run_keys, "fifo", 4)
 
     def test_fifo_bench_case_is_vectorised(self):
-        """The BENCH_vec.json FIFO row: every PE must take the
-        columnar path now (`vec_fallback_pes == 0`), bit-identically
-        — the acceptance criterion of the fast-path widening."""
+        """A long FIFO stream (inner_product, n=4000, 8 PEs): every
+        PE must take the columnar path (`vec_fallback_pes == 0`),
+        bit-identically — the acceptance criterion of the fast-path
+        widening."""
         program, inputs = get_kernel("inner_product").build(n=4000)
         trace = kernel_trace(program, inputs)
         config = MachineConfig(
@@ -346,18 +348,29 @@ class TestBackendEnvelope:
         assert "vec_fallback_pes" in backend.result_schema
         assert backend.scenario_axes == ()
 
-    def test_profile_adds_vec_phase_columns(self, hydro_trace, monkeypatch):
-        monkeypatch.setenv("REPRO_PROFILE", "1")
+    def test_phases_emit_vec_spans(self):
         # The random policy is the one remaining order-dependent
         # fallback (FIFO now solves in closed form), so it is what
-        # exercises the fallback_scalar phase column.
+        # exercises the fallback_scalar phase.
         config = MachineConfig(
             n_pes=2, page_size=4, cache_elems=8, cache_policy="random"
         )
-        outcome = evaluate_scenario(
-            _thrashing_trace(), Scenario(config=config)
-        )
-        assert "profile_classify_vec_s" in outcome.metrics
-        assert "profile_cache_sim_vec_s" in outcome.metrics
-        assert "profile_fallback_scalar_s" in outcome.metrics
+        names: list[str] = []
+
+        def listen(event: dict) -> None:
+            if event["event"] == "span":
+                names.append(event["name"])
+
+        obs.subscribe(listen)
+        try:
+            outcome = evaluate_scenario(
+                _thrashing_trace(), Scenario(config=config)
+            )
+        finally:
+            obs.unsubscribe(listen)
+        assert {
+            "phase.classify_vec",
+            "phase.cache_sim_vec",
+            "phase.fallback_scalar",
+        } <= set(names)
         assert outcome.metrics["vec_fallback_pes"] == 1.0
