@@ -321,8 +321,6 @@ def _cmd_trace_compact(args: argparse.Namespace) -> int:
 
 def _cmd_serve_listen(args: argparse.Namespace) -> int:
     """Run the fleet server: admit campaigns, hand points to workers."""
-    import asyncio
-
     from .engine import CampaignSpec
     from .fleet import FleetCoordinator, parse_address
     from .fleet.server import FleetServer
@@ -332,12 +330,12 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
         max_attempts=args.max_attempts, max_campaigns=args.max_campaigns
     )
     server = FleetServer(coordinator, host=host, port=port)
-
-    async def main() -> None:
-        await server.start()
+    server.start()
+    try:
         # The bound port (meaningful with --listen HOST:0) goes to
         # stdout in a stable, parseable form before any campaign work.
         print(f"fleet: listening on {host}:{server.port}", flush=True)
+        # No connection is served yet, so admitting needs no lock.
         for path in args.campaign or ():
             spec = CampaignSpec.load(path)
             accepted = coordinator.submit(spec)
@@ -346,12 +344,11 @@ def _cmd_serve_listen(args: argparse.Namespace) -> int:
                 f"({accepted['points']} points, {accepted['campaign'][:12]})",
                 flush=True,
             )
-        await server.serve_forever()
-
-    try:
-        asyncio.run(main())
+        server.serve_forever()
     except KeyboardInterrupt:
         pass
+    finally:
+        server.close()
     return 0
 
 

@@ -17,9 +17,9 @@ Three pieces:
 * :mod:`.coordinator` — pure scheduling state: round-robin across
   campaigns, per-worker job leases, requeue on worker loss, attempt
   caps, admission control;
-* :mod:`.server` / :mod:`.worker` — the asyncio server and the worker
-  loop (TCP mode, plus a socketless spool mode for air-gapped fleets
-  that share only the filesystem).
+* :mod:`.server` / :mod:`.worker` — the threaded server (one thread
+  per connection) and the worker loop (TCP mode, plus a socketless
+  spool mode for air-gapped fleets that share only the filesystem).
 
 Submitted spec documents are checked by
 :meth:`CampaignSpec.from_dict <repro.engine.campaign.CampaignSpec.from_dict>`

@@ -1,8 +1,9 @@
 """Fleet scheduling state: campaigns, job leases, fairness, retries.
 
-Pure bookkeeping — no sockets, no store I/O — so every scheduling
-decision is unit-testable.  The server owns one instance and drives it
-from its single-threaded event loop.
+Pure bookkeeping — no sockets, no store I/O, no locks — so every
+scheduling decision is unit-testable.  The server owns one instance
+and calls it only under its one condition variable, so connection
+threads never see it half-updated.
 
 Scheduling rules:
 

@@ -18,6 +18,8 @@ a terminal ``error`` when the version is unsupported — the number is
 bumped on any incompatible change, so mismatched builds fail in the
 first round trip instead of corrupting a campaign later).
 
+:func:`read_frame` and :func:`write_frame` are the one frame codec:
+the server's connection threads and every client frame through them.
 :class:`FleetClient` is the synchronous side used by workers and the
 CLI: one request/response at a time, with bounded reconnect-and-retry
 (exponential backoff) around connection failures.  Requests are safe
@@ -53,6 +55,15 @@ PROTOCOL_VERSION = 1
 #: while keeping a corrupt length header harmless.
 MAX_FRAME_BYTES = 8 * 1024 * 1024
 
+#: :class:`FleetClient`'s socket timeout, in seconds.
+_TIMEOUT_S = 30.0
+
+#: Reconnect attempts per request, with exponential backoff between
+#: them: 0.2 s, doubling, capped at 5 s.
+_RETRIES = 5
+_BACKOFF_S = 0.2
+_MAX_BACKOFF_S = 5.0
+
 
 class FleetError(RuntimeError):
     """The peer answered with a structured ``error`` message."""
@@ -76,7 +87,7 @@ def parse_address(address: str) -> tuple[str, int]:
 
 
 # ---------------------------------------------------------------------------
-# framing (synchronous file objects; the server has asyncio twins)
+# framing (blocking binary streams)
 # ---------------------------------------------------------------------------
 
 
@@ -126,10 +137,10 @@ class FleetClient:
     """One synchronous fleet connection with reconnect-and-retry.
 
     ``request`` sends one message and returns the reply.  Connection
-    failures (refused, reset, timed out) are retried up to ``retries``
-    times with exponential backoff capped at ``max_backoff`` — this is
-    what lets a worker start before its server, or ride out a server
-    restart, without wrapper scripts.  A structured ``error`` reply is
+    failures (refused, reset, timed out) are retried up to five times
+    with exponential backoff capped at 5 s — this is what lets a
+    worker start before its server, or ride out a server restart,
+    without wrapper scripts.  A structured ``error`` reply is
     *not* retried: it raises :class:`FleetError` carrying the server's
     message (the server stayed up and said no).
     """
@@ -139,19 +150,11 @@ class FleetClient:
         address: str | tuple[str, int],
         *,
         role: str = "client",
-        timeout: float = 30.0,
-        retries: int = 5,
-        backoff_s: float = 0.2,
-        max_backoff_s: float = 5.0,
     ) -> None:
         self.address = (
             parse_address(address) if isinstance(address, str) else address
         )
         self.role = role
-        self.timeout = timeout
-        self.retries = retries
-        self.backoff_s = backoff_s
-        self.max_backoff_s = max_backoff_s
         self._sock: socket.socket | None = None
         self._stream: BinaryIO | None = None
         self.server_host: str | None = None
@@ -163,7 +166,7 @@ class FleetClient:
             return
         from ..obs import HOSTNAME
 
-        sock = socket.create_connection(self.address, timeout=self.timeout)
+        sock = socket.create_connection(self.address, timeout=_TIMEOUT_S)
         try:
             stream = sock.makefile("rwb")
             write_frame(
@@ -231,13 +234,10 @@ class FleetClient:
                 # deliberately not in this tuple.
                 self.close()
                 attempt += 1
-                if attempt > self.retries:
+                if attempt > _RETRIES:
                     raise
                 time.sleep(
-                    min(
-                        self.backoff_s * (2 ** (attempt - 1)),
-                        self.max_backoff_s,
-                    )
+                    min(_BACKOFF_S * 2 ** (attempt - 1), _MAX_BACKOFF_S)
                 )
                 continue
             if reply.get("op") == "error":

@@ -55,6 +55,9 @@ __all__ = ["evaluate_point", "run_spool_worker", "run_worker", "spool_dir"]
 #: kill-window hook: sleep this long between claiming and evaluating.
 _STALL_ENV = "REPRO_FLEET_STALL_S"
 
+#: How often a watching spool worker looks for new specs, in seconds.
+_SPOOL_POLL_S = 1.0
+
 #: point enumerations memoised per campaign digest (spec → points is
 #: deterministic, and a 10⁵-point spec should enumerate once, not per
 #: job)
@@ -140,7 +143,6 @@ def run_worker(
     store: TraceStore | None = None,
     max_jobs: int | None = None,
     idle_exit_s: float | None = None,
-    retries: int = 5,
 ) -> int:
     """The TCP worker loop: fetch → evaluate → report, until told not to.
 
@@ -152,7 +154,7 @@ def run_worker(
     store = store if store is not None else default_store()
     settled = 0
     idle_since: float | None = None
-    with FleetClient(address, role="worker", retries=retries) as client:
+    with FleetClient(address, role="worker") as client:
         obs.emit("fleet.worker_start", server=client.server_host or "?")
         while True:
             reply = client.request({"op": "fetch"})
@@ -216,7 +218,6 @@ def run_spool_worker(
     *,
     store: TraceStore | None = None,
     once: bool = True,
-    poll_s: float = 1.0,
 ) -> int:
     """Evaluate every campaign spec spooled under the store root.
 
@@ -229,7 +230,7 @@ def run_spool_worker(
     marker is written by whichever worker settles the campaign's last
     point it can see, and writing it twice is harmless.  ``once=True``
     processes the current backlog and returns (the CI-friendly mode);
-    otherwise the worker polls every ``poll_s`` seconds forever.
+    otherwise the worker polls every second forever.
     """
     store = store if store is not None else default_store()
     spool = spool_dir(store)
@@ -259,4 +260,4 @@ def run_spool_worker(
         if once:
             return 0
         if not handled:
-            time.sleep(poll_s)
+            time.sleep(_SPOOL_POLL_S)

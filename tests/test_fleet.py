@@ -16,7 +16,7 @@ Three layers, matching the package:
 
 from __future__ import annotations
 
-import asyncio
+import contextlib
 import io
 import json
 import os
@@ -261,35 +261,38 @@ class TestCoordinator:
 # ---------------------------------------------------------------------------
 
 
+@contextlib.contextmanager
+def serving(server: FleetServer):
+    """Run ``server`` on a background thread for the ``with`` body."""
+    server.start()
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.close()
+        thread.join(timeout=10)
+        assert not thread.is_alive()
+
+
 @pytest.fixture()
 def live_server():
-    """A FleetServer on an ephemeral port, on a background loop."""
-    server = FleetServer(FleetCoordinator(max_campaigns=4))
-    loop = asyncio.new_event_loop()
+    """A FleetServer on an ephemeral port, serving on a thread."""
+    with serving(FleetServer(FleetCoordinator(max_campaigns=4))) as server:
+        yield server
 
-    def run() -> None:
-        # start_server() begins accepting as soon as it is created, so
-        # run_forever() alone keeps the server alive; after stop(),
-        # drain connection-handler tasks and close everything so the
-        # stress suite's -W error pass sees no leaked sockets.
-        asyncio.set_event_loop(loop)
-        loop.run_forever()
-        pending = asyncio.all_tasks(loop)
-        for task in pending:
-            task.cancel()
-        if pending:
-            loop.run_until_complete(
-                asyncio.gather(*pending, return_exceptions=True)
-            )
-        loop.run_until_complete(server.close())
-        loop.close()
 
-    thread = threading.Thread(target=run, daemon=True)
-    thread.start()
-    asyncio.run_coroutine_threadsafe(server.start(), loop).result(timeout=10)
-    yield server
-    loop.call_soon_threadsafe(loop.stop)
-    thread.join(timeout=10)
+def _after_hello(address: tuple[str, int], wire: bytes) -> dict | None:
+    """Shake hands, send raw ``wire`` bytes, and read the one reply."""
+    with socket.create_connection(address, timeout=10) as sock:
+        stream = sock.makefile("rwb")
+        write_frame(
+            stream,
+            {"op": "hello", "proto": PROTOCOL_VERSION, "role": "client"},
+        )
+        assert read_frame(stream)["op"] == "welcome"
+        sock.sendall(wire)
+        return read_frame(stream)
 
 
 class TestServer:
@@ -349,22 +352,115 @@ class TestServer:
                     }
                 )
 
-    def test_oversized_frame_header_gets_an_error_frame(self, live_server):
-        """70,000 digits with no newline overrun the stream's line
-        limit; the handler answers with an error frame, as for any
-        other malformed frame, instead of dying."""
-        with socket.create_connection(
-            self.address(live_server), timeout=10
-        ) as sock:
-            sock.sendall(b"7" * 70_000)
-            reply = read_frame(sock.makefile("rb"))
+    @pytest.mark.parametrize(
+        "wire, needle",
+        [
+            # 70,000 digits and no newline: a header that never ends.
+            (b"7" * 70_000, "unterminated frame header"),
+            # A body whose last byte is not the closing newline.
+            (b'13\n{"op":"ping"}X', "truncated frame body"),
+            # A valid frame behind a header padded past its 32 bytes.
+            (b"0" * 38 + b'13\n{"op":"ping"}\n', "unterminated frame header"),
+        ],
+        ids=["endless-header", "unterminated-body", "padded-header"],
+    )
+    def test_malformed_frame_gets_an_error_frame(
+        self, live_server, wire, needle
+    ):
+        """The server frames with the protocol's own codec, so every
+        wire that ``read_frame`` refuses is answered with an error
+        frame, never with a reply to what the frame might have meant."""
+        reply = _after_hello(self.address(live_server), wire)
         assert reply["op"] == "error"
-        assert "unterminated frame header" in reply["error"]
+        assert needle in reply["error"]
+
+    @pytest.mark.parametrize(
+        "timeout", ["soon", None, float("nan")], ids=["text", "null", "nan"]
+    )
+    def test_wait_timeout_must_be_a_finite_number(self, live_server, timeout):
+        """A bad ``timeout`` is refused with an error frame; a dropped
+        connection would make a client resend the same request."""
+        with FleetClient(self.address(live_server)) as client:
+            digest = client.request({"op": "submit", "spec": SMALL_SPEC})[
+                "campaign"
+            ]
+        wire = io.BytesIO()
+        write_frame(wire, {"op": "wait", "campaign": digest, "timeout": timeout})
+        reply = _after_hello(self.address(live_server), wire.getvalue())
+        assert reply["op"] == "error"
+        assert "finite number" in reply["error"]
+
+    def test_ipv6_loopback_round_trip(self):
+        """The listening socket takes its address family from the
+        host, so an IPv6 host binds and serves."""
+        try:
+            with socket.socket(socket.AF_INET6) as probe:
+                probe.bind(("::1", 0))
+        except OSError:
+            pytest.skip("no IPv6 loopback on this host")
+        with serving(FleetServer(host="::1")) as server:
+            with FleetClient(f"[::1]:{server.port}") as client:
+                assert client.request({"op": "ping"}) == {"op": "pong"}
+
+    def test_server_and_cli_leave_asyncio_unloaded(self, tmp_path):
+        code = (
+            "import sys, repro.cli, repro.fleet.server; "
+            "print('asyncio' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env=_repro_env(tmp_path / "store", tmp_path / "ev"),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
     def test_fetch_requires_the_worker_role(self, live_server):
         with FleetClient(self.address(live_server)) as client:
             with pytest.raises(FleetError, match="role=worker"):
                 client.request({"op": "fetch"})
+
+    def test_threaded_workers_settle_every_point_once(self, live_server):
+        """More worker connections than cores, with a short switch
+        interval: the coordinator is shared by their threads, and every
+        point is still handed out and settled exactly once."""
+        address = self.address(live_server)
+        with FleetClient(address) as client:
+            digest = client.request(
+                {"op": "submit", "spec": {**SMALL_SPEC, "pes": list(range(1, 49))}}
+            )["campaign"]
+        handed: list[int] = []
+        errors: list[Exception] = []
+
+        def work() -> None:
+            try:
+                with FleetClient(address, role="worker") as worker:
+                    while (job := worker.request({"op": "fetch"}))["op"] == "job":
+                        handed.append(job["index"])
+                        worker.request({"op": "done", "job_id": job["job_id"]})
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        workers = [threading.Thread(target=work) for _ in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors
+        assert sorted(handed) == list(range(48))
+        with FleetClient(address) as client:
+            status = client.request({"op": "status", "campaign": digest})
+            stats = client.request({"op": "stats"})["stats"]
+        assert (status["state"], status["done"]) == ("done", 48)
+        assert stats["jobs_handed"] == 48
 
     def test_worker_cycle_and_loss_requeue(self, live_server):
         address = self.address(live_server)
