@@ -73,8 +73,9 @@ whole record::
                              service workers, applied (access times,
                              counters, worker evaluation counts) on
                              campaign completion
-    <root>/leases/*.json     cross-process claim leases (holder pid +
-                             expiry, heartbeat-renewed): independent
+    <root>/leases/*.json     cross-process claim leases: hard links to
+                             a holder file whose mtime, heartbeat-
+                             renewed, is their expiry; independent
                              processes sharing the root build every
                              trace and result exactly once, and steal
                              a crashed holder's lease after its TTL

@@ -36,6 +36,9 @@ therefore shards::
       traces/<ab>/<name>-<digest16>.npz     trace shards
       results/<cd>/<backend>-<digest20>.npz result shards
       touch/<tag>-<host>-<pid>.jsonl        pool-worker access logs
+      leases/<k>-<ref>.json                 claim leases (k: t or r)
+      leases/hb/<host>-<pid>-<n>.json       lease holders, one per store
+      …/<final>.<host>-<pid>-<n>.tmp        a write not yet renamed
 
 * **Shards** — every artifact lives under a two-hex-character prefix
   directory derived from its digest (:func:`shard_of`, i.e.
@@ -69,22 +72,24 @@ therefore shards::
   access times are applied with ``os.utime``, and trace-hit counters
   and worker-side evaluation counts join the parent's.
 * **Claim leases** — in-process claims (threads, streams) coordinate
-  through :class:`threading.Event`; *cross-process* claims coordinate
-  through lock-file leases under ``leases/``: one small JSON file per
-  in-flight build recording the holder's pid, host and an expiry
-  timestamp.  A lease is published atomically (written to a temp file,
-  then hard-linked into place, so a reader can never observe a
-  half-written lease) and *stolen* by a rival once it goes stale — or
-  immediately, when the holder's pid is provably dead on the same
-  host.  Liveness past the lease's own expiry comes from a single
-  per-process *heartbeat manifest* (``leases/hb/<host>-<pid>.json``)
-  renewed with one atomic replace per tick, so heartbeat I/O is O(1)
-  per tick no matter how many leases a campaign holds: a lease is
-  live while its own expiry is in the future *or* its holder's
-  heartbeat is fresh.  Two independent processes sharing one store
-  root therefore never build the same entry twice while the first
-  builder is alive; a crash stops the heartbeat and delays rivals by
-  at most ``lease_ttl_s``.
+  through :class:`threading.Event`; *cross-process* claims through
+  leases under ``leases/``.  Before its first lease, a store writes one
+  *holder* file (``leases/hb/``) naming its pid and host; a lease is
+  one atomic ``os.link`` of it to ``leases/<k>-<ref>.json``, and the
+  holder's mtime is the expiry of every lease linked to it, so a
+  heartbeat tick is one ``os.utime``.  A rival *steals* a lease once
+  that expiry has passed (its holder crashed, or stalled past
+  ``LEASE_TTL_S``), or at once when it names a pid dead on this host.
+  A holder whose expiry has passed forgets its leases and links later
+  ones to a new holder file, so an expired inode is never renewed.
+  Without hard links, a lease is its own exclusively created file,
+  renewed by the heartbeat too.  A crash delays rivals by at most
+  ``LEASE_TTL_S``; a live builder is never duplicated.
+* **Temp files** — every artifact and holder is written through a
+  temp named for its writer and renamed into place
+  (:func:`repro._files.write_once`).  Explicit :meth:`TraceStore.gc`
+  passes and :meth:`TraceStore.clear` remove a temp once its pid is
+  dead on this host, or once it has sat untouched for ``LEASE_TTL_S``.
 * **One claim protocol** — lookup → claim → re-check → deferral →
   compute → put (or abandon) is written once, in :class:`TraceStore`;
   the executor and the fleet worker call it.
@@ -104,8 +109,8 @@ import hashlib
 import json
 import os
 import re
+import itertools
 import socket
-import tempfile
 import threading
 import time
 import warnings
@@ -113,11 +118,12 @@ import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, Mapping, NamedTuple
+from typing import BinaryIO, Callable, Iterable, Iterator, Mapping, NamedTuple
 
 import numpy as np
 
 from .. import obs
+from .._files import HOST, pid_alive, reap_orphan, write_once
 from ..backends.base import EvalOutcome, Scenario
 from ..core.stats import AccessStats
 from ..ir.loops import Program
@@ -160,10 +166,11 @@ _LEASES_DIR = "leases"
 #: before building the entry itself.
 _INFLIGHT_TIMEOUT_S = 120.0
 
-#: Default validity of a cross-process claim lease.  A holder's
-#: per-process heartbeat manifest is renewed every ``lease_ttl_s / 3``
-#: (one atomic replace covering every lease it holds), so only a
-#: crashed (or wedged) holder ever lets its leases go stale.
+#: Validity of a cross-process claim lease.  A store's holder file is
+#: renewed every ``LEASE_TTL_S / 3`` (one ``os.utime`` covering every
+#: lease linked to it), so only a crashed (or wedged) holder ever lets
+#: its leases go stale.  It also bounds how long a temp file may sit
+#: untouched before GC takes it for a dead writer's.
 LEASE_TTL_S = 30.0
 
 #: How often a cross-process lease waiter re-checks for the peer's
@@ -172,25 +179,10 @@ _LEASE_POLL_S = 0.05
 
 _HOSTNAME = socket.gethostname() or "localhost"
 
-#: Heartbeat manifests live in a subdirectory so the ``*-*.json``
-#: globs over claim-lease files never pick one up.
+#: Holder files live in a subdirectory so the ``*-*.json`` globs over
+#: claim-lease files never pick one up.
 _HB_DIR = "hb"
-
-
-def _safe_host(host: str) -> str:
-    """A hostname reduced to filename-safe characters."""
-    return re.sub(r"[^A-Za-z0-9_.-]+", "-", host) or "localhost"
-
-
-def _pid_alive(pid: int) -> bool:
-    """Best-effort liveness of a pid on *this* host."""
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (PermissionError, OSError):
-        return True  # exists, owned by someone else (or unknowable)
-    return True
+_holder_serial = itertools.count()
 
 
 def shard_of(digest: str) -> str:
@@ -387,9 +379,7 @@ def _stamp(path: Path, at_ns: int | None = None) -> None:
 
 
 def _save_outcome(path: Path, outcome: EvalOutcome) -> Path:
-    """Persist an outcome to ``.npz`` (atomic replace, exact dtypes)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
+    """Persist an outcome to ``.npz`` (written once, exact dtypes)."""
     meta = json.dumps(
         {
             "result_format": RESULT_FORMAT_VERSION,
@@ -407,18 +397,10 @@ def _save_outcome(path: Path, outcome: EvalOutcome) -> Path:
     }
     for name in outcome.per_pe:
         payload[f"per_pe__{name}"] = outcome.per_pe[name]
-    fd, tmp = tempfile.mkstemp(
-        dir=path.parent, prefix=path.name, suffix=".tmp"
+    return write_once(
+        path,
+        lambda fh: np.savez_compressed(fh, meta=np.array(meta), **payload),
     )
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            np.savez_compressed(fh, meta=np.array(meta), **payload)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
 
 
 def _load_outcome(path: Path) -> EvalOutcome:
@@ -481,7 +463,7 @@ def append_touch(
         )
         # Host + pid in the filename: fleet workers on different hosts
         # sharing one store root may reuse a pid.
-        name = f"{tag}-{_safe_host(_HOSTNAME)}-{os.getpid()}.jsonl"
+        name = f"{tag}-{HOST}-{os.getpid()}.jsonl"
         with open(directory / name, "a") as fh:
             fh.write(line + "\n")
     except OSError:
@@ -543,12 +525,68 @@ class GCReport:
         }
 
 
-def _lease_fields(path: Path) -> dict[str, str]:
-    """Event fields (kind, ref) recovered from a lease file name."""
-    letter, _, rest = path.name.partition("-")
-    ref = rest[:-5] if rest.endswith(".json") else rest
-    kind = {"t": "trace", "r": "result"}.get(letter, letter)
-    return {"kind": kind, "ref": ref}
+class _Holder(NamedTuple):
+    """The file every lease of one store links to (module docstring)."""
+
+    path: Path
+    ident: tuple[int, int]  # (st_dev, st_ino)
+    pid: int  # its maker: a forked child makes its own
+
+
+class _Seen(NamedTuple):
+    """A lease as a reader judged it: why it is stale (``None`` while
+    live), its holder ``{pid, host, expires}`` and its inode."""
+
+    stale: str | None
+    holder: dict | None
+    ident: tuple[int, int]
+
+
+def _judge_lease(path: Path) -> _Seen | None:
+    """Judge the lease at ``path`` (``None``: there is none).
+
+    A lease is stale when its document is unreadable, once its mtime —
+    its holder's expiry — has passed, or when it names a pid that is
+    dead on this host.  The file is opened before it is fstat'ed,
+    because the open makes NFS revalidate its attributes.
+    """
+    try:
+        with open(path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            raw = fh.read()
+    except OSError:
+        return None
+    ident = (st.st_dev, st.st_ino)
+    try:
+        data = json.loads(raw)
+        holder = {"pid": int(data["pid"]), "host": str(data["host"])}
+    except (KeyError, TypeError, ValueError):
+        return _Seen("junk", None, ident)
+    holder["expires"] = st.st_mtime
+    if st.st_mtime <= time.time():
+        return _Seen("expired", holder, ident)
+    if holder["host"] == _HOSTNAME and not pid_alive(holder["pid"]):
+        return _Seen("dead-holder", holder, ident)
+    return _Seen(None, holder, ident)
+
+
+def _holder_document(fh: BinaryIO) -> None:
+    fh.write(json.dumps({"pid": os.getpid(), "host": _HOSTNAME}).encode())
+
+
+def _create_own_lease(path: Path, expires: float) -> tuple[int, int] | None:
+    """A lease that is its own file, where hard links are missing
+    (``None``: one is there).  A reader that opens it before its
+    document and expiry land judges it stale, as junk or expired."""
+    try:
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o600)
+    except FileExistsError:
+        return None
+    with os.fdopen(fd, "wb") as fh:
+        _holder_document(fh)
+        st = os.fstat(fd)
+    os.utime(path, (time.time(), expires))
+    return (st.st_dev, st.st_ino)
 
 
 class _LeaseWaiter:
@@ -620,30 +658,24 @@ class TraceStore:
     entry so GC can never unlink a file mid-read — the store is safe
     for any number of threads/streams in one process.
 
-    Builds are additionally guarded *across processes* by lock-file
-    leases (see the module docstring): a process that wins the
-    in-process flight also takes a lease under ``leases/``, renewed by
-    a heartbeat thread until released; a process that finds a foreign
-    lease waits on a :class:`_LeaseWaiter` instead of building.
-    ``lease_ttl_s`` is the crash-recovery bound — how long a rival
-    waits before stealing a dead holder's lease (a holder whose pid is
-    provably dead on the same host is stolen from immediately).
+    Builds are additionally guarded *across processes* by leases (see
+    the module docstring): a store that wins the in-process flight
+    also links its holder file to the entry's lease under ``leases/``,
+    and a heartbeat thread renews the holder until the last lease is
+    released; a process that finds a foreign lease waits on a
+    :class:`_LeaseWaiter` instead of building.  ``LEASE_TTL_S`` is the
+    crash-recovery bound — how long a rival waits before stealing a
+    dead holder's lease (a holder whose pid is dead on the same host
+    is stolen from at once).
     """
 
     def __init__(
-        self,
-        root: str | os.PathLike,
-        *,
-        max_bytes: int | None = None,
-        lease_ttl_s: float = LEASE_TTL_S,
+        self, root: str | os.PathLike, *, max_bytes: int | None = None
     ) -> None:
         if max_bytes is not None and max_bytes < 0:
             raise ValueError("max_bytes must be non-negative")
-        if lease_ttl_s <= 0:
-            raise ValueError("lease_ttl_s must be positive")
         self.root = Path(root)
         self.max_bytes = max_bytes
-        self.lease_ttl_s = lease_ttl_s
         self.counters = StoreCounters()
         #: where each result lookup was satisfied (mirrors ``counters``)
         self.result_counters = StoreCounters()
@@ -657,15 +689,15 @@ class TraceStore:
         self._pins: Counter[str] = Counter()
         #: single-flight builds/claims: "t:<ref>" / "r:<ref>" -> Event
         self._inflight: dict[str, threading.Event] = {}
-        #: cross-process leases this store currently holds: (kind, ref)
-        self._held_leases: set[tuple[str, str]] = set()
+        #: cross-process leases this store holds: (kind, ref) -> the
+        #: inode it published (its holder's, or the lease's own file)
+        self._held_leases: dict[tuple[str, str], tuple[int, int]] = {}
+        #: the file this store's leases link to, and its expiry (mtime)
+        self._holder: _Holder | None = None
+        self._holder_expires = 0.0
         self._lease_thread: threading.Thread | None = None
         #: set while no lease is held: wakes the heartbeat to exit
         self._leases_idle = threading.Event()
-        #: (host, pid) -> (checked_monotonic, expires): short-lived
-        #: cache of holder heartbeat manifests, so scanning N leases of
-        #: one holder costs one manifest read, not N
-        self._hb_cache: dict[tuple[str, int], tuple[float, float]] = {}
 
     # -- paths -----------------------------------------------------------------
     @property
@@ -691,13 +723,14 @@ class TraceStore:
         return sum(1 for entry in self._scan() if entry.kind == "trace")
 
     # -- the shard walk --------------------------------------------------------
-    def _scan(self) -> list[_Entry]:
+    def _scan(self, *, reap: bool = False) -> list[_Entry]:
         """Every artifact under ``traces/<ab>/`` and ``results/<ab>/``.
 
         The store's only O(entries) operation: ``len``, result counts,
         sizes, stats, GC and ``clear`` read the ground truth from here,
-        one ``stat`` per artifact.  In-flight temp files and anything
-        outside the two-hex-character shard directories are skipped.
+        one ``stat`` per artifact.  Temp files and anything outside the
+        two-hex-character shard directories are skipped; with ``reap``,
+        temps whose writer was killed before the rename are unlinked.
         """
         entries: list[_Entry] = []
         for kind, base in (("trace", _TRACES_DIR), ("result", _RESULTS_DIR)):
@@ -716,6 +749,8 @@ class TraceStore:
                     continue
                 for item in files:
                     if not item.name.endswith(".npz"):
+                        if reap:
+                            reap_orphan(item, LEASE_TTL_S)
                         continue
                     try:
                         st = item.stat()
@@ -753,7 +788,7 @@ class TraceStore:
             with contextlib.suppress(OSError):
                 self._bytes += path.stat().st_size
         if self._bytes > self.max_bytes:
-            self.gc(sweep_leases=False)
+            self.gc(sweep=False)
 
     # -- read pinning ----------------------------------------------------------
     @contextlib.contextmanager
@@ -784,223 +819,131 @@ class TraceStore:
     def _lease_path(self, kind: str, ref: str) -> Path:
         return self.lease_dir / f"{kind[0]}-{ref}.json"
 
-    @staticmethod
-    def _parse_lease(raw: bytes) -> dict | None:
-        """Validate one lease document's bytes (``None`` if torn/junk)."""
-        try:
-            data = json.loads(raw)
-        except ValueError:
-            return None
-        if not isinstance(data, dict):
-            return None
-        try:
-            return {
-                "pid": int(data["pid"]),
-                "host": str(data.get("host", "")),
-                "acquired": float(data.get("acquired", 0.0)),
-                "expires": float(data["expires"]),
-            }
-        except (KeyError, TypeError, ValueError):
-            return None
-
-    def _read_lease(self, path: Path) -> dict | None:
-        """The lease document, or ``None`` for absent/unreadable files.
-
-        Leases are published and renewed atomically (hard link /
-        rename), so an unreadable file is crash junk, never a healthy
-        lease caught mid-write.
-        """
-        try:
-            raw = path.read_bytes()
-        except OSError:
-            return None
-        return self._parse_lease(raw)
-
-    def _heartbeat_path(self, host: str, pid: int) -> Path:
-        """Where ``(host, pid)``'s per-process heartbeat manifest lives."""
-        return self.lease_dir / _HB_DIR / f"{_safe_host(host)}-{int(pid)}.json"
-
-    def _heartbeat_expires(self, host: str, pid: int) -> float:
-        """When ``(host, pid)``'s heartbeat manifest expires (0.0 = none).
-
-        Reads are cached for a small fraction of the TTL: a sweep over
-        thousands of leases held by one campaign process costs one
-        manifest read, not one per lease.
-        """
-        now = time.monotonic()
-        window = min(1.0, self.lease_ttl_s / 6.0)
-        cached = self._hb_cache.get((host, pid))
-        if cached is not None and now - cached[0] <= window:
-            return cached[1]
-        info = self._read_lease(self._heartbeat_path(host, pid))
-        expires = 0.0
-        if info is not None and info["pid"] == pid and info["host"] == host:
-            expires = info["expires"]
-        self._hb_cache[(host, pid)] = (now, expires)
-        return expires
-
-    def _lease_stale(self, info: dict) -> bool:
-        """Dead holder, or expired with no fresh holder heartbeat.
-
-        A lease file is written once (at acquire, with one TTL of
-        validity) and never rewritten; past its own expiry it stays
-        live for as long as the holder's per-process heartbeat
-        manifest is fresh.
-        """
-        if info["host"] == _HOSTNAME and not _pid_alive(info["pid"]):
-            return True
-        now = time.time()
-        if info["expires"] > now:
-            return False
-        return self._heartbeat_expires(info["host"], info["pid"]) <= now
-
     def lease_holder(self, ref: str, *, kind: str = "result") -> dict | None:
-        """The *live* lease on an entry, or ``None``.
+        """The *live* lease on an entry — ``{pid, host, expires}`` — or
+        ``None``: a stale one (junk, expired, or naming a pid that is
+        dead on this host) is free to steal."""
+        seen = _judge_lease(self._lease_path(kind, ref))
+        return None if seen is None or seen.stale else seen.holder
 
-        Stale leases (expired with no holder heartbeat, or a same-host
-        holder whose pid is dead) read as ``None``: they are free to
-        steal.  The reported ``expires`` is the *effective* one — the
-        later of the lease file's own expiry and the holder's
-        heartbeat expiry.
-        """
-        info = self._read_lease(self._lease_path(kind, ref))
-        if info is None or self._lease_stale(info):
-            return None
-        heartbeat = self._heartbeat_expires(info["host"], info["pid"])
-        if heartbeat > info["expires"]:
-            info["expires"] = heartbeat
-        return info
+    def _holder_here(self) -> _Holder | None:
+        """This store's holder if this process made it (locked): a
+        forked child inherits neither the holder nor its leases."""
+        if self._holder is not None and self._holder.pid != os.getpid():
+            self._holder, self._held_leases = None, {}
+        return self._holder
 
-    def _write_lease_tmp(self) -> Path:
-        """A fully-written lease document in a temp file (atomic source)."""
-        self.lease_dir.mkdir(parents=True, exist_ok=True)
+    def _new_holder(self) -> None:
+        """Write a new holder file, expiring one TTL from now (locked)."""
+        name = f"{HOST}-{os.getpid()}-{next(_holder_serial)}.json"
+        path = write_once(self.lease_dir / _HB_DIR / name, _holder_document)
+        self._holder_expires = time.time() + LEASE_TTL_S
+        os.utime(path, (time.time(), self._holder_expires))
+        st = os.stat(path)
+        self._holder = _Holder(path, (st.st_dev, st.st_ino), os.getpid())
+
+    def _renew_holder(self) -> bool:
+        """Move the holder's expiry one TTL on, unless it has passed or
+        the file is gone (locked); whether it moved."""
         now = time.time()
-        document = json.dumps(
-            {
-                "pid": os.getpid(),
-                "host": _HOSTNAME,
-                "acquired": now,
-                "expires": now + self.lease_ttl_s,
-            }
-        )
-        fd, tmp = tempfile.mkstemp(dir=self.lease_dir, suffix=".tmp")
-        with os.fdopen(fd, "w") as fh:
-            fh.write(document + "\n")
-        return Path(tmp)
+        try:
+            if os.stat(self._holder.path).st_mtime <= now:
+                return False
+            os.utime(self._holder.path, (now, now + LEASE_TTL_S))
+        except OSError:
+            return False
+        self._holder_expires = now + LEASE_TTL_S
+        return True
+
+    def _expire_holder(self) -> None:
+        """Forget the holder and its leases, once its expiry has passed
+        or its file vanished (locked).  Rivals may have stolen the
+        leases since, so the inode is never renewed again: the next
+        lease links to a new holder.  Builds in flight go on
+        unprotected — at worst one redundant, atomically replaced
+        build."""
+        for kind, ref in self._held_leases:
+            obs.emit("lease.expire", kind=kind, ref=ref)
+        self._held_leases = {}
+        self._leases_idle.set()
+        with contextlib.suppress(OSError):
+            os.unlink(self._holder.path)
+        self._holder = None
+
+    def _holder_for_lease(self) -> _Holder:
+        """The holder the next lease links to (locked): kept fresh by the
+        heartbeat while leases are held, renewed by the first lease
+        after an idle spell, replaced once expired or vanished."""
+        if self._holder_here() is not None:
+            fresh = self._held_leases and self._holder_expires > time.time()
+            if fresh or self._renew_holder():
+                return self._holder
+            self._expire_holder()
+        self._new_holder()
+        return self._holder
 
     def acquire_lease(self, ref: str, *, kind: str = "result") -> bool:
         """Take the cross-process build lease for an entry.
 
-        Returns ``True`` when this process now holds the lease (it is
-        renewed by the heartbeat until :meth:`release_lease`), ``False``
-        when another *live* process does.  Publication is atomic — the
-        document is written to a temp file and hard-linked into place,
-        so no reader ever sees a torn lease — and stale leases
-        (expired, or a provably-dead same-host holder) are stolen.
-        Stealing moves the observed stale lease *aside* with an atomic
-        rename before publishing a fresh one: of several rivals racing
-        the steal, exactly one wins the rename — the losers loop,
-        observe the winner's fresh lease, and back off.  Never two
-        holders.
+        Returns ``True`` when this store now holds the lease (renewed
+        by the heartbeat until :meth:`release_lease`), ``False`` when
+        another *live* holder does.  Taking it is one atomic
+        ``os.link`` of the store's holder file; a stale lease is stolen
+        first (:meth:`_steal_stale_lease`).  Never two holders.
         """
         path = self._lease_path(kind, ref)
         for _attempt in range(8):
-            tmp = self._write_lease_tmp()
-            try:
-                os.link(tmp, path)
-            except FileExistsError:
-                info = self._read_lease(path)
-                if info is not None and not self._lease_stale(info):
-                    return False  # a live peer holds it
-                self._steal_stale_lease(path)
-                continue
-            except OSError:
-                # Filesystem without hard links: fall back to an
-                # exclusive create (tiny torn-read window, same steal
-                # protocol).
+            with self._lock:
+                holder = self._holder_for_lease()
                 try:
-                    flags = os.O_CREAT | os.O_EXCL | os.O_WRONLY
-                    fd = os.open(path, flags)
+                    os.link(holder.path, path)
+                    ident = holder.ident
                 except FileExistsError:
-                    info = self._read_lease(path)
-                    if info is not None and not self._lease_stale(info):
-                        return False
-                    self._steal_stale_lease(path)
-                    continue
-                with os.fdopen(fd, "w") as fh:
-                    fh.write(tmp.read_text())
-            finally:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-            with self._lock:
-                first_hold = not self._held_leases
-                self._held_leases.add((kind, ref))
-                self._leases_idle.clear()
-            if first_hold:
-                # Publish the liveness manifest right away: the lease
-                # file itself carries one TTL of validity, but the
-                # manifest is what keeps it alive past that.  Publish
-                # before the heartbeat starts, so its first tick finds
-                # the manifest a full interval old and renews it.
-                self._renew_manifest(force=True)
-            with self._lock:
-                self._ensure_lease_heartbeat()
-            obs.emit("lease.acquire", kind=kind, ref=ref)
-            return True
+                    ident = None
+                except OSError:  # no hard links here: a file of its own
+                    ident = _create_own_lease(path, self._holder_expires)
+                if ident is not None:
+                    self._held_leases[(kind, ref)] = ident
+                    self._leases_idle.clear()
+                    self._ensure_lease_heartbeat()
+                    obs.emit("lease.acquire", kind=kind, ref=ref)
+                    return True
+            seen = _judge_lease(path)
+            if seen is not None and seen.stale is None:
+                return False  # a live peer holds it
+            self._steal_stale_lease(path)
         return False
 
     def _steal_stale_lease(self, path: Path) -> None:
         """Retire a stale lease atomically (rename aside, then delete).
 
-        A blind unlink would race rival stealers: the slower rival's
-        queued unlink could remove the *winner's* freshly published
-        lease, yielding two holders.  Instead the lease is re-judged
-        immediately before an atomic ``os.rename`` aside — a fresh
-        lease that appeared since the caller's check is left alone,
-        and of several rivals racing the rename exactly one wins
-        while the losers loop and observe the winner's new lease.
-
-        The judgment is bound to the *file identity*: the staleness
-        check fstats the very fd it reads, and after winning the
-        rename the inode of what was actually taken is compared to
-        what was judged.  A mismatch means a rival republished inside
-        the judge→rename gap and we moved its *fresh* lease aside —
-        it is restored (hard link back; a no-op if the path has
-        already been repopulated) and the steal backs off.  That
-        narrows the residual window dramatically: a wrong steal is
-        detected and undone unless a *third* actor publishes into the
-        emptied path before the restore lands, in which case the
-        wronged holder's heartbeat notices the foreign pid within
-        ``ttl/3`` and downgrades to the protocol's documented worst
-        case — one redundant, atomically-replaced build, never a torn
-        artifact.
+        A blind unlink would race rival stealers: the slower one's
+        queued unlink could remove the winner's fresh lease.  Instead
+        the lease is re-judged, then renamed aside — of several rivals
+        exactly one wins the rename, and the losers loop and observe
+        the winner's new lease.  The judgment is bound to the inode
+        that was opened: if the inode taken is not the one judged, a
+        rival republished in the judge→rename gap, so its fresh lease
+        is restored (hard link back) and the steal backs off.  All
+        leases of one store share its holder's inode; the check stays
+        sound because an inode whose expiry has passed is never renewed
+        or linked again, and a dead holder links nothing.  A wrong
+        steal stays undone unless a third actor publishes into the
+        emptied path first: then one redundant, atomically replaced
+        build, never a torn artifact.
         """
-        try:
-            with open(path, "rb") as fh:
-                judged = os.fstat(fh.fileno())
-                info = self._parse_lease(fh.read())
-        except OSError:
-            return  # already retired by a rival stealer
-        if info is not None and not self._lease_stale(info):
-            return  # a fresh lease appeared since we judged: back off
-        if info is None:
-            reason = "junk"
-        elif info["expires"] <= time.time():
-            reason = "expired"
-        else:
-            reason = "dead-holder"
+        seen = _judge_lease(path)
+        if seen is None or seen.stale is None:
+            return  # retired by a rival stealer, or fresh again
         aside = path.parent / (
             f"{path.name}.stale-{os.getpid()}-{time.monotonic_ns()}"
         )
         try:
             os.rename(path, aside)
-        except OSError:
-            return  # another stealer won the rename; back off
-        try:
             taken = os.stat(aside)
         except OSError:
-            return
-        if (taken.st_ino, taken.st_dev) != (judged.st_ino, judged.st_dev):
+            return  # another stealer won the rename; back off
+        if (taken.st_dev, taken.st_ino) != seen.ident:
             # We took a lease republished after our judgment — a live
             # rival's. Put it back and back off.
             with contextlib.suppress(OSError):
@@ -1010,30 +953,31 @@ class TraceStore:
             return
         with contextlib.suppress(OSError):
             os.unlink(aside)
-        obs.emit("lease.steal", reason=reason, **_lease_fields(path))
+        letter, _, ref = path.name.removesuffix(".json").partition("-")
+        kind = {"t": "trace", "r": "result"}.get(letter, letter)
+        obs.emit("lease.steal", reason=seen.stale, kind=kind, ref=ref)
 
     def release_lease(self, ref: str, *, kind: str = "result") -> None:
         """Drop a lease *if this store acquired it* (no-op otherwise).
 
-        Membership in the held set is checked first — a pid match
-        alone is not ownership, because another thread (or another
-        ``TraceStore`` instance) of this same process may be the one
-        actually holding the lease, and its build must stay protected.
+        A pid match alone is not ownership — another ``TraceStore`` of
+        this process may hold the lease — so only a held lease's path
+        is unlinked, and only while it is still the inode this store
+        published in this process: a lease a rival stole since stays.
         """
         with self._lock:
-            if (kind, ref) not in self._held_leases:
+            self._holder_here()
+            ident = self._held_leases.pop((kind, ref), None)
+            if ident is None:
                 return
-            self._held_leases.discard((kind, ref))
             if not self._held_leases:
                 self._leases_idle.set()
         path = self._lease_path(kind, ref)
-        info = self._read_lease(path)
-        if info is None:
-            return
-        if info["pid"] == os.getpid() and info["host"] == _HOSTNAME:
-            with contextlib.suppress(OSError):
+        with contextlib.suppress(OSError):
+            st = os.stat(path)
+            if (st.st_dev, st.st_ino) == ident:
                 os.unlink(path)
-            obs.emit("lease.release", kind=kind, ref=ref)
+                obs.emit("lease.release", kind=kind, ref=ref)
 
     def _ensure_lease_heartbeat(self) -> None:
         """Start the renewal thread if it is not running (locked)."""
@@ -1046,105 +990,35 @@ class TraceStore:
             self._lease_thread.start()
 
     def _lease_heartbeat(self) -> None:
-        """Renew the per-process heartbeat manifest; exits when idle.
+        """Renew the holder every ``LEASE_TTL_S / 3``; exits when idle.
 
-        One atomic replace per tick covers *every* lease this process
-        holds — renewal I/O is O(1), not O(held leases), so campaigns
-        that claim a 10⁵-point grid up front cost the same per tick as
-        one that claims a single point.  A crash kills this thread
-        with the process, the manifest goes stale, and rivals steal
-        the leases after ``lease_ttl_s`` — the manifest *is* the
-        holder's liveness signal.  The last release wakes the thread
-        at once, so it stops holding the store alive.
+        One ``os.utime`` per tick covers every lease linked to the
+        holder (plus one per lease that is a file of its own), however
+        many there are.  A crash stops the ticks and rivals steal the
+        leases once the holder's expiry passes; a tick that finds it
+        passed (this thread stalled) expires the holder instead.  The
+        last release wakes the thread at once, so it stops holding the
+        store alive.
         """
-        interval = min(max(self.lease_ttl_s / 3.0, 0.02), 10.0)
+        interval = min(max(LEASE_TTL_S / 3.0, 0.02), 10.0)
         while True:
             idle = self._leases_idle.wait(interval)
             with self._lock:
                 if not self._held_leases:
                     self._lease_thread = None
                     return
-            if not idle:
-                self._renew_manifest()
-
-    def _renew_manifest(self, *, force: bool = False) -> None:
-        """Push this process's heartbeat manifest forward (one replace).
-
-        ``force`` publishes unconditionally (first acquire); otherwise
-        a manifest another store instance of this same process renewed
-        moments ago is left alone, and a manifest that *already
-        expired* (this heartbeat stalled past the TTL) first drops the
-        held leases rivals were entitled to steal in the gap — never
-        resurrect a lease a rival may have legitimately taken.
-        """
-        path = self._heartbeat_path(_HOSTNAME, os.getpid())
-        now = time.time()
-        info = self._read_lease(path)
-        own = (
-            info is not None
-            and info["pid"] == os.getpid()
-            and info["host"] == _HOSTNAME
-        )
-        if not force:
-            if own and info["expires"] - now > self.lease_ttl_s * (2.0 / 3.0):
-                return  # freshly renewed (another instance's tick)
-            if not own or info["expires"] <= now:
-                self._drop_stalled_leases(now)
-        expires = now + self.lease_ttl_s
-        document = json.dumps(
-            {
-                "pid": os.getpid(),
-                "host": _HOSTNAME,
-                "acquired": now,
-                "expires": expires,
-            }
-        )
-        tmp = ""
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=str(path.parent), suffix=".tmp")
-            with os.fdopen(fd, "w") as fh:
-                fh.write(document + "\n")
-            os.replace(tmp, path)
-        except OSError:
-            # Renewal is advisory; the next tick retries.  Failed
-            # renewals must not litter leases/hb/ with temp files.
-            if tmp:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-            return
-        self._hb_cache[(_HOSTNAME, os.getpid())] = (time.monotonic(), expires)
-        if not force:
-            with self._lock:
+                if idle:
+                    continue
+                if not self._renew_holder():
+                    self._expire_holder()
+                    continue
+                times = (time.time(), self._holder_expires)
+                for (kind, ref), ident in self._held_leases.items():
+                    if ident != self._holder.ident:  # a file of its own
+                        with contextlib.suppress(OSError):
+                            os.utime(self._lease_path(kind, ref), times)
                 held = len(self._held_leases)
             obs.emit("lease.renew", kind="hb", held=held)
-
-    def _drop_stalled_leases(self, now: float) -> None:
-        """Forget held leases a stalled heartbeat let go stale.
-
-        Called when this process's manifest is found already expired:
-        any held lease whose own file expiry has also passed (or whose
-        file a rival replaced) was fair game to steal, so renewing the
-        manifest over it could yield two holders.  The in-flight
-        builds continue unprotected — the worst case is one redundant,
-        atomically-replaced evaluation, never a torn artifact.
-        """
-        with self._lock:
-            held = list(self._held_leases)
-        for kind, ref in held:
-            info = self._read_lease(self._lease_path(kind, ref))
-            if (
-                info is not None
-                and info["pid"] == os.getpid()
-                and info["host"] == _HOSTNAME
-                and info["expires"] > now
-            ):
-                continue  # acquired after the stall: still safely ours
-            with self._lock:
-                self._held_leases.discard((kind, ref))
-                if not self._held_leases:
-                    self._leases_idle.set()
-            obs.emit("lease.expire", kind=kind, ref=ref)
 
     def active_leases(self) -> int:
         """How many live (unexpired) leases exist under this root.
@@ -1153,55 +1027,33 @@ class TraceStore:
         safe to call from observability paths without stalling
         concurrent lookups and puts.
         """
-        if not self.lease_dir.is_dir():
-            return 0
-        count = 0
-        for path in self.lease_dir.glob("*-*.json"):
-            info = self._read_lease(path)
-            if info is not None and not self._lease_stale(info):
-                count += 1
-        return count
+        judged = map(_judge_lease, self.lease_dir.glob("*-*.json"))
+        return sum(1 for seen in judged if seen and seen.stale is None)
 
     def sweep_stale_leases(self) -> int:
-        """Remove stale lease files (and rename-aside leftovers).
+        """Retire stale lease files, and what crashed holders left.
 
-        A campaign killed mid-grid leaves one lease file per claimed
-        point that nothing else revisits unless the exact ref is
-        re-claimed; this sweep — run by every :meth:`gc` pass —
-        retires them through the same judge-then-rename-aside protocol
-        stealing uses, so a live holder is never touched.  Returns how
-        many lease files were retired.
+        A campaign killed mid-grid leaves one lease per claimed point;
+        this sweep — run by every explicit :meth:`gc` pass — retires
+        them through the steal protocol, so a live holder is never
+        touched.  Returns how many lease files were retired.
         """
-        if not self.lease_dir.is_dir():
-            return 0
         swept = 0
         for path in self.lease_dir.glob("*-*.json"):
-            info = self._read_lease(path)
-            if info is not None and not self._lease_stale(info):
-                continue
-            self._steal_stale_lease(path)
-            swept += 1
-        # Rename-aside leftovers (an unlink that failed mid-steal) are
-        # plain junk once they have sat for a while.
-        for path in self.lease_dir.glob("*.stale-*"):
-            try:
-                if time.time() - path.stat().st_mtime > 60.0:
-                    path.unlink(missing_ok=True)
-            except OSError:
-                continue
-        # Heartbeat manifests of exited (or long-idle) processes: give
-        # a full extra TTL of grace so an owner republishing at this
-        # very moment is never raced.
-        hb_dir = self.lease_dir / _HB_DIR
-        if hb_dir.is_dir():
-            for path in hb_dir.glob("*.json"):
-                info = self._read_lease(path)
-                if (
-                    info is None
-                    or info["expires"] + self.lease_ttl_s < time.time()
-                ):
-                    with contextlib.suppress(OSError):
-                        path.unlink(missing_ok=True)
+            seen = _judge_lease(path)
+            if seen is not None and seen.stale:
+                self._steal_stale_lease(path)
+                swept += 1
+        # Rename-aside leftovers and holder files go a full TTL past
+        # their mtime, so an owner renewing right now is never raced.
+        now = time.time()
+        hb = self.lease_dir / _HB_DIR
+        for path in [*self.lease_dir.glob("*.stale-*"), *hb.glob("*")]:
+            with contextlib.suppress(OSError):
+                if reap_orphan(path, LEASE_TTL_S):
+                    continue
+                if path.stat().st_mtime + LEASE_TTL_S < now:
+                    path.unlink()
         return swept
 
     # -- the claim protocol ----------------------------------------------------
@@ -1596,7 +1448,7 @@ class TraceStore:
         return sum(entry.bytes for entry in self._scan())
 
     def gc(
-        self, max_bytes: int | None = None, *, sweep_leases: bool = True
+        self, max_bytes: int | None = None, *, sweep: bool = True
     ) -> GCReport:
         """Evict entries until the store fits its disk budget.
 
@@ -1610,14 +1462,14 @@ class TraceStore:
         construction-time) it is a no-op that reports the current
         size.  Explicit passes also sweep stale lease files (crashed
         campaigns leave one per claimed point) — before taking the
-        store lock, because the sweep is pure directory I/O; the
-        auto-GC path, which enters with the lock already held, skips
-        it.
+        store lock, because the sweep is pure directory I/O — and reap
+        the temps of killed writers in their shard walk; the auto-GC
+        path, which enters with the lock already held, does neither.
         """
-        if sweep_leases:
+        if sweep:
             self.sweep_stale_leases()
         with self._lock:
-            entries = self._scan()
+            entries = self._scan(reap=sweep)
             budget = self.max_bytes if max_bytes is None else max_bytes
             total = sum(entry.bytes for entry in entries)
             report = GCReport(total_bytes=total, max_bytes=budget)
@@ -1729,23 +1581,24 @@ class TraceStore:
             self._result_memory.clear()
 
     def clear(self) -> None:
-        """Drop the memory maps and delete every on-disk entry."""
+        """Drop the memory maps and delete every on-disk entry.
+
+        Leases and holder files go too; temps go as in :meth:`gc`, so a
+        live writer's rename still lands.
+        """
         with self._lock:
             self.clear_memory()
-            for entry in self._scan():
+            for entry in self._scan(reap=True):
                 entry.path.unlink(missing_ok=True)
             self._bytes = None
-            if self.touch_dir.is_dir():
-                for path in self.touch_dir.glob("*.jsonl"):
-                    path.unlink(missing_ok=True)
-            if self.lease_dir.is_dir():
-                self._held_leases.clear()
-                self._leases_idle.set()
-                for path in self.lease_dir.glob("*-*.json"):
-                    path.unlink(missing_ok=True)
-                for path in (self.lease_dir / _HB_DIR).glob("*.json"):
-                    path.unlink(missing_ok=True)
-                self._hb_cache.clear()
+            self._held_leases, self._holder = {}, None
+            self._leases_idle.set()
+            for path in [
+                *self.touch_dir.glob("*.jsonl"),
+                *self.lease_dir.glob("*-*.json"),
+                *(self.lease_dir / _HB_DIR).glob("*.json"),
+            ]:
+                path.unlink(missing_ok=True)
 
     def __repr__(self) -> str:
         return (

@@ -19,12 +19,13 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
 
 import numpy as np
+
+from .._files import write_once
 
 __all__ = [
     "TRACE_DIGEST_VERSION",
@@ -225,7 +226,8 @@ class Trace:
 
         The numpy columns keep their exact dtypes; names, sizes and the
         format version travel as an embedded JSON document.  The write
-        goes through a temporary file in the destination directory so
+        goes through a temp file named for this process in the
+        destination directory (:func:`repro._files.write_once`), so
         concurrent writers (parallel sweep workers, several processes
         warming one trace store) can never leave a torn file behind.
 
@@ -237,8 +239,6 @@ class Trace:
         layout); either way :meth:`load` returns the bit-identical
         trace.
         """
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         superops = self._superops_for_save(compact)
         if superops is not None:
             from .superops import payload_meta
@@ -255,18 +255,10 @@ class Trace:
                 }
             )
             payload = {name: getattr(self, name) for name in _COLUMNS}
-        fd, tmp = tempfile.mkstemp(
-            dir=path.parent, prefix=path.name, suffix=".tmp"
+        return write_once(
+            path,
+            lambda fh: np.savez_compressed(fh, meta=np.array(meta), **payload),
         )
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                np.savez_compressed(fh, meta=np.array(meta), **payload)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return path
 
     @classmethod
     def load(cls, path: str | os.PathLike) -> "Trace":

@@ -21,14 +21,15 @@ paths stays ~free.
 
 from __future__ import annotations
 
+import atexit
 import json
 import os
-import re
-import socket
 import threading
 import time
 from pathlib import Path
 from typing import Callable, Iterator
+
+from .._files import HOST, write_once
 
 __all__ = [
     "active",
@@ -43,13 +44,10 @@ __all__ = [
 
 _ENV = "REPRO_OBS"
 
-#: This host's name, reduced to filename-safe characters: it prefixes
-#: per-process sink filenames and span ids so telemetry merged across
-#: hosts sharing one store root can never collide on a reused pid.
-HOSTNAME = (
-    re.sub(r"[^A-Za-z0-9_.-]+", "-", socket.gethostname() or "")
-    or "localhost"
-)
+#: This host's name as file names spell it: it prefixes per-process
+#: sink filenames and span ids so telemetry merged across hosts sharing
+#: one store root can never collide on a reused pid.
+HOSTNAME = HOST
 
 _lock = threading.Lock()
 #: merged-log stem (``<stem>.jsonl`` after merge); None → sink disabled
@@ -84,15 +82,9 @@ def configure(spec: str | None) -> None:
     ``REPRO_OBS`` environment variable are ignored until
     ``configure(None)`` unpins (which also re-arms env auto-detection).
     """
-    global _stem, _pinned, _fh, _fh_pid, _env_seen
+    global _stem, _pinned, _env_seen
     with _lock:
-        if _fh is not None:
-            try:
-                _fh.close()
-            except OSError:
-                pass
-        _fh = None
-        _fh_pid = None
+        _close_sink()
         if spec:
             _stem = _parse(spec)
             _pinned = True
@@ -104,7 +96,7 @@ def configure(spec: str | None) -> None:
 
 def _sync_env() -> None:
     """Adopt ``REPRO_OBS`` from the environment when not pinned."""
-    global _stem, _env_seen, _fh, _fh_pid
+    global _stem, _env_seen
     env = os.environ.get(_ENV)
     if env == _env_seen:
         return
@@ -112,13 +104,7 @@ def _sync_env() -> None:
         if _pinned or env == _env_seen:
             return
         _env_seen = env
-        if _fh is not None:
-            try:
-                _fh.close()
-            except OSError:
-                pass
-            _fh = None
-            _fh_pid = None
+        _close_sink()
         _stem = _parse(env) if env else None
 
 
@@ -138,6 +124,27 @@ def event_path() -> Path | None:
     return _stem.parent / f"{_stem.name}-{HOSTNAME}-{os.getpid()}.jsonl"
 
 
+def _close_sink() -> None:
+    """Close the sink handle, if any (the caller holds ``_lock``)."""
+    global _fh, _fh_pid
+    if _fh is not None:
+        try:
+            _fh.close()
+        except OSError:
+            pass
+    _fh = None
+    _fh_pid = None
+
+
+@atexit.register
+def _close_at_exit() -> None:
+    """Close the sink at interpreter exit, in the process that opened
+    it: a forked child that never emitted holds its parent's handle."""
+    with _lock:
+        if _fh_pid == os.getpid():
+            _close_sink()
+
+
 def _sink():
     """This process's open sink handle (reopened after ``fork``)."""
     global _fh, _fh_pid
@@ -147,9 +154,7 @@ def _sink():
     with _lock:
         if _fh is not None and _fh_pid == pid:
             return _fh
-        if _fh is not None:
-            # inherited across fork — the parent owns it; just drop ours
-            _fh = None
+        # None, or inherited across fork (the parent owns that one)
         path = _stem.parent / f"{_stem.name}-{HOSTNAME}-{pid}.jsonl"
         path.parent.mkdir(parents=True, exist_ok=True)
         _fh = open(path, "a", encoding="utf-8")
@@ -251,14 +256,8 @@ def merge(stem: str | os.PathLike | None = None) -> Path | None:
             seen.add(canon)
             events.append(record)
     events.sort(key=lambda e: e.get("ts", 0.0))
-    # Unique temp name: concurrent merges (two campaign streams
-    # finishing together) must not replace each other's temp file out
-    # from underneath — last atomic rename simply wins.
-    tmp = merged.with_name(
-        f"{merged.name}.tmp-{os.getpid()}-{threading.get_ident()}"
-    )
-    with open(tmp, "w", encoding="utf-8") as fh:
-        for record in events:
-            fh.write(json.dumps(record, default=str) + "\n")
-    os.replace(tmp, merged)
-    return merged
+    # Each write has its own temp, so concurrent merges (two campaign
+    # streams finishing together) never replace each other's temp
+    # file out from underneath — last atomic rename simply wins.
+    lines = "".join(json.dumps(e, default=str) + "\n" for e in events)
+    return write_once(merged, lambda fh: fh.write(lines.encode("utf-8")))

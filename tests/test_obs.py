@@ -12,9 +12,13 @@ from __future__ import annotations
 import io
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import obs
 from repro.obs import events as events_mod
 from repro.obs.spans import _NULL_SPAN
@@ -505,3 +509,31 @@ class TestEmitResilience:
         monkeypatch.setattr(events_mod, "_fh", Exploding())
         obs.emit("second")  # swallowed
         obs.configure(None)  # close of the broken handle is swallowed too
+
+    def test_sink_is_closed_at_exit(self, tmp_path):
+        """A traced process closes its sink before the interpreter
+        does: under ``-X dev`` an open file at exit is reported as a
+        ``ResourceWarning``, which exits 0 and so needs looking for."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).parents[1])
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        env["REPRO_OBS"] = f"jsonl:{tmp_path / 'ev'}"
+        done = subprocess.run(
+            [
+                sys.executable,
+                "-X",
+                "dev",
+                "-c",
+                "from repro import obs; obs.emit('probe')",
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert "ResourceWarning" not in done.stderr
+        (part,) = tmp_path.glob("ev-*.jsonl")
+        assert [e["event"] for e in obs.read_events(part)] == ["probe"]

@@ -2,9 +2,10 @@
 
 The PR-3 claim machinery made concurrent *streams* (threads) build
 every store entry exactly once; these tests pin down its cross-process
-extension: lock-file leases under ``<root>/leases/`` with holder pid +
-expiry, heartbeat renewal, stealing on expiry (or immediately from a
-provably-dead same-host holder), and the flagship two-
+extension: leases under ``<root>/leases/``, each a hard link to its
+store's holder file (pid + host, expiry in its mtime), heartbeat
+renewal, stealing on expiry (or immediately from a provably-dead
+same-host holder), and the flagship two-
 ``multiprocessing.Process`` races — build-once for results *and*
 traces, plus crash-mid-lease recovery.
 
@@ -14,16 +15,19 @@ sharding/stress suites.
 
 from __future__ import annotations
 
+import errno
 import gc
 import json
 import multiprocessing as mp
 import os
+import socket
 import time
 import weakref
 from pathlib import Path
 
 import pytest
 
+import repro.engine.store as store_module
 from repro import obs
 from repro.engine import (
     CampaignSpec,
@@ -33,6 +37,10 @@ from repro.engine import (
     kernel_trace_key,
     run_campaign,
 )
+
+
+#: The host name a lease document records.
+HOSTNAME = socket.gethostname() or "localhost"
 
 
 def ctx() -> mp.context.BaseContext:
@@ -49,20 +57,20 @@ def write_lease(
     host: str | None = None,
     expires_in: float = 60.0,
 ) -> Path:
-    """Plant a lease file by hand (simulating a foreign holder)."""
+    """Plant a lease file by hand (simulating a foreign holder): its
+    document names the holder, its mtime is the holder's expiry."""
     store.lease_dir.mkdir(parents=True, exist_ok=True)
     path = store.lease_dir / f"{kind[0]}-{ref}.json"
-    now = time.time()
     path.write_text(
         json.dumps(
             {
                 "pid": os.getpid() if pid is None else pid,
                 "host": "elsewhere" if host is None else host,
-                "acquired": now,
-                "expires": now + expires_in,
             }
         )
     )
+    expires = time.time() + expires_in
+    os.utime(path, (expires, expires))
     return path
 
 
@@ -141,6 +149,7 @@ class TestLeaseFiles:
         time.sleep(0.2)
         assert store.acquire_lease("ef" * 10)
         assert store.lease_holder("ef" * 10)["pid"] == os.getpid()
+        store.release_lease("ef" * 10)
 
     def test_dead_same_host_holder_is_stolen_immediately(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -155,6 +164,7 @@ class TestLeaseFiles:
         )
         # Unexpired, but the holder is provably dead on this host.
         assert store.acquire_lease("0a" * 10)
+        store.release_lease("0a" * 10)
 
     def test_corrupt_lease_is_treated_as_stale(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -162,6 +172,7 @@ class TestLeaseFiles:
         (store.lease_dir / "r-junk.json").write_text("{not json")
         assert store.lease_holder("junk") is None
         assert store.acquire_lease("junk")
+        store.release_lease("junk")
 
     def test_release_never_drops_a_foreign_lease(self, tmp_path):
         store = TraceStore(tmp_path)
@@ -169,8 +180,9 @@ class TestLeaseFiles:
         store.release_lease("1b" * 10)
         assert path.is_file()  # not ours: left in place
 
-    def test_heartbeat_renews_held_leases(self, tmp_path):
-        store = TraceStore(tmp_path, lease_ttl_s=0.3)
+    def test_heartbeat_renews_held_leases(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 0.3)
+        store = TraceStore(tmp_path)
         assert store.acquire_lease("2c" * 10)
         first = store.lease_holder("2c" * 10)["expires"]
         time.sleep(0.6)  # two renewal intervals past the original TTL
@@ -242,6 +254,8 @@ class TestLeaseFiles:
         assert stores[0].lease_holder("6a" * 10)["pid"] == os.getpid()
         # No stale-rename droppings left behind.
         assert not list(stores[0].lease_dir.glob("*.stale-*"))
+        for store in stores:
+            store.release_lease("6a" * 10)
 
     def test_release_requires_membership_not_just_pid(self, tmp_path):
         """A store (or thread) that never acquired a lease must not be
@@ -263,7 +277,6 @@ class TestLeaseFiles:
         """A live-but-stuck foreign holder delays every caller of the
         claim protocol by at most its one deadline; then the entry is
         computed once, unclaimed, and one ``claim.expired`` says so."""
-        import repro.engine.store as store_module
         from repro.backends import evaluate_scenario, evaluation_count
         from repro.engine import interpretation_count, kernel_trace_cached
         from repro.fleet.worker import evaluate_point
@@ -338,6 +351,105 @@ class TestLeaseFiles:
         store.release_lease("4e" * 10)
 
 
+class TestHolderFile:
+    """A lease is a hard link to its store's holder file, whose mtime
+    is the expiry of every lease linked to it."""
+
+    def test_a_lease_is_a_link_to_the_holder(self, tmp_path):
+        store = TraceStore(tmp_path)
+        assert store.acquire_lease("a1" * 10)
+        assert store.acquire_lease("a2" * 10, kind="trace")
+        (holder,) = (store.lease_dir / "hb").glob("*.json")
+        assert json.loads(holder.read_text()) == {
+            "pid": os.getpid(),
+            "host": HOSTNAME,
+        }
+        for path in store.lease_dir.glob("*-*.json"):
+            assert os.path.samefile(path, holder)
+        assert holder.stat().st_nlink == 3
+        assert holder.stat().st_mode & 0o777 == 0o600
+        store.release_lease("a1" * 10)
+        store.release_lease("a2" * 10, kind="trace")
+        assert not list(store.lease_dir.glob("*-*.json"))
+        assert holder.stat().st_nlink == 1  # kept for the next lease
+
+    def test_a_reused_pid_cannot_keep_a_dead_holders_lease_alive(
+        self, tmp_path
+    ):
+        """A lease naming this very process (as a dead holder's pid,
+        reused) stays stale once its expiry has passed, however fresh
+        this process's own holder is."""
+        store = TraceStore(tmp_path)
+        assert store.acquire_lease("b1" * 10)  # this process holds one
+        write_lease(
+            store, "b2" * 10, pid=os.getpid(), host=HOSTNAME,
+            expires_in=-3600.0,
+        )
+        assert store.lease_holder("b2" * 10) is None
+        started = time.monotonic()
+        assert store.acquire_lease("b2" * 10)
+        assert time.monotonic() - started < 5.0
+        store.release_lease("b1" * 10)
+        store.release_lease("b2" * 10)
+
+    def test_expired_holder_is_replaced_and_never_renewed(
+        self, tmp_path, monkeypatch
+    ):
+        """A heartbeat that finds its holder's expiry passed (it
+        stalled) forgets the holder's leases, never renews that inode,
+        and links the next lease to a new holder file."""
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 0.3)
+        store = TraceStore(tmp_path)
+        events: list[dict] = []
+        obs.subscribe(events.append)
+        try:
+            assert store.acquire_lease("c1" * 10)
+            lease = store.lease_dir / f"r-{'c1' * 10}.json"
+            (old,) = (store.lease_dir / "hb").glob("*.json")
+            old_inode = old.stat().st_ino
+            stalled = time.time() - 10.0  # what a stall leaves on disk
+            os.utime(old, (stalled, stalled))
+            time.sleep(0.5)  # several heartbeat ticks
+            assert lease.stat().st_mtime == stalled  # never renewed
+            assert lease.stat().st_ino == old_inode
+            assert not old.exists()
+            assert store.lease_holder("c1" * 10) is None
+            assert store.acquire_lease("c2" * 10)
+            (new,) = (store.lease_dir / "hb").glob("*.json")
+            assert new.stat().st_ino != old_inode
+            rival = TraceStore(tmp_path)
+            assert rival.acquire_lease("c1" * 10)  # stale: stolen
+            rival.release_lease("c1" * 10)
+            store.release_lease("c1" * 10)  # forgotten: a no-op
+            store.release_lease("c2" * 10)
+        finally:
+            obs.unsubscribe(events.append)
+        expired = [e["ref"] for e in events if e["event"] == "lease.expire"]
+        assert expired == ["c1" * 10]
+
+    def test_without_hard_links_a_lease_is_its_own_renewed_file(
+        self, tmp_path, monkeypatch
+    ):
+        def no_links(src, dst, **kwargs):
+            raise OSError(errno.EPERM, "hard links not supported")
+
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 0.3)
+        monkeypatch.setattr(os, "link", no_links)
+        store = TraceStore(tmp_path)
+        assert store.acquire_lease("d1" * 10)
+        lease = store.lease_dir / f"r-{'d1' * 10}.json"
+        assert lease.stat().st_nlink == 1
+        assert not TraceStore(tmp_path).acquire_lease("d1" * 10)
+        first = store.lease_holder("d1" * 10)["expires"]
+        time.sleep(0.25)  # two heartbeat intervals, most of a TTL
+        time.sleep(0.25)
+        info = store.lease_holder("d1" * 10)
+        assert info is not None, "the fallback lease was not renewed"
+        assert info["expires"] > first
+        store.release_lease("d1" * 10)
+        assert not lease.exists()
+
+
 def merged_events(stem: Path) -> list[dict]:
     merged = obs.merge(stem)
     assert merged is not None
@@ -384,22 +496,21 @@ class TestLeaseEventLog:
     def test_heartbeat_renewal_logged_exactly_once(
         self, tmp_path, obs_stem, monkeypatch, publish_delay_ms
     ):
-        # ttl=3.0 → heartbeat ticks every 1.0s and every tick finds
-        # remaining < 2/3·ttl, so holding for ~1.5s spans exactly one
-        # renewal window.  The renewal is the per-process manifest —
-        # ONE event (and one file replace) regardless of how many
-        # leases the process holds.  A slow first publish must not
+        # ttl=3.0 → heartbeat ticks every 1.0s, so holding for ~1.5s
+        # spans exactly one renewal window.  The renewal is the
+        # store's holder file — ONE event (and one utime) regardless of
+        # how many leases link to it.  A slow first publish must not
         # push the first tick out of its window: the heartbeat starts
-        # only once the manifest is out.
-        renew = TraceStore._renew_manifest
+        # only once the holder is out.
+        new_holder = TraceStore._new_holder
 
-        def slow_first_publish(store, *, force=False):
-            if force:
-                time.sleep(publish_delay_ms / 1000.0)
-            renew(store, force=force)
+        def slow_first_publish(store):
+            time.sleep(publish_delay_ms / 1000.0)
+            new_holder(store)
 
-        monkeypatch.setattr(TraceStore, "_renew_manifest", slow_first_publish)
-        store = TraceStore(tmp_path / "store", lease_ttl_s=3.0)
+        monkeypatch.setattr(TraceStore, "_new_holder", slow_first_publish)
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 3.0)
+        store = TraceStore(tmp_path / "store")
         refs = ["2c" * 10, "2d" * 10, "2e" * 10]
         for ref in refs:
             assert store.acquire_lease(ref)
@@ -423,9 +534,10 @@ class TestLeaseEventLog:
             == 1
         )
         assert count_events(events, "lease.acquire", ref=ref) == 1
+        store.release_lease(ref)
 
     def test_crash_recovery_steal_logged_exactly_once(
-        self, tmp_path, obs_stem
+        self, tmp_path, obs_stem, monkeypatch
     ):
         """Two processes: the child acquires and dies mid-build; the
         parent's steal is logged as a single dead-holder event, and
@@ -451,7 +563,8 @@ class TestLeaseEventLog:
         child.kill()
         child.join(timeout=60)
 
-        store = TraceStore(root, lease_ttl_s=60.0)
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 60.0)
+        store = TraceStore(root)
         deadline = time.time() + 30
         claim = store.claim_result(key)
         while claim is not None and time.time() < deadline:
@@ -534,8 +647,9 @@ def _drive_campaign(root, barrier, queue, which):
     from repro.engine import interpretation_count
     from repro.engine import run_campaign as run
 
+    store_module.LEASE_TTL_S = 10.0
     spec = spec_a() if which == "a" else spec_b()
-    store = Store(root, lease_ttl_s=10.0)
+    store = Store(root)
     barrier.wait(timeout=60)
     ev0, in0 = evaluation_count(), interpretation_count()
     result = run(spec, store=store, parallel=False)
@@ -554,7 +668,8 @@ def _crash_holding_lease(root, key_dict, acquired_event):
     """Child-process body: claim a point, signal, die mid-build."""
     from repro.engine import TraceStore as Store
 
-    store = Store(root, lease_ttl_s=60.0)
+    store_module.LEASE_TTL_S = 60.0
+    store = Store(root)
     key = ResultKey(**key_dict)
     assert store.claim_result(key) is None
     acquired_event.set()
@@ -625,7 +740,7 @@ class TestTwoProcessRaces:
             process.pid for process in processes
         }
 
-    def test_crash_mid_lease_is_recovered(self, tmp_path):
+    def test_crash_mid_lease_is_recovered(self, tmp_path, monkeypatch):
         """A holder that dies mid-build delays rivals, never blocks
         them: its pid is seen dead and the lease is stolen."""
         root = str(tmp_path / "store")
@@ -650,7 +765,8 @@ class TestTwoProcessRaces:
         child.kill()  # crash mid-build, lease file left behind
         child.join(timeout=60)
 
-        store = TraceStore(root, lease_ttl_s=60.0)
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 60.0)
+        store = TraceStore(root)
         assert (store.lease_dir / f"r-{key.ref}.json").is_file()
         # The TTL has 60s to run — but the holder is dead on this
         # host, so the claim is stolen immediately.
@@ -666,3 +782,104 @@ class TestTwoProcessRaces:
         result = run_campaign(spec, store=store, parallel=False)
         assert len(result) == spec.n_points
         assert store.active_leases() == 0
+
+
+def _die_before_rename(root, kind):
+    """Child-process body: build one entry, die between writing its
+    temp file and renaming it into place."""
+    from repro.backends import evaluate_scenario
+    from repro.engine import kernel_trace_cached
+
+    store = TraceStore(root)
+    if kind == "result":
+        trace = kernel_trace_cached("first_diff", n=96, store=store)
+    replace = os.replace
+
+    def die_before_artifact_rename(src, dst):
+        if str(dst).endswith(".npz"):
+            os._exit(17)
+        replace(src, dst)
+
+    os.replace = die_before_artifact_rename
+    if kind == "trace":
+        kernel_trace_cached("first_diff", n=96, store=store)
+    else:
+        _kernel, scenario = next(spec_a().points())
+        store.get_result(
+            result_key(spec_a()), lambda: evaluate_scenario(trace, scenario)
+        )
+    os._exit(0)
+
+
+def temp_files(root: Path) -> list[Path]:
+    return sorted(root.rglob("*.tmp"))
+
+
+class TestKilledWriters:
+    """A writer killed before its rename leaves only a temp file named
+    for it, which reads as a miss and which the next GC pass reaps."""
+
+    @pytest.mark.parametrize("kind", ["trace", "result"])
+    def test_death_mid_put(self, tmp_path, kind):
+        from repro.backends import evaluate_scenario, evaluation_count
+        from repro.engine import interpretation_count, kernel_trace_cached
+
+        root = tmp_path / "store"
+        child = ctx().Process(target=_die_before_rename, args=(root, kind))
+        child.start()
+        child.join(timeout=120)
+        assert child.exitcode == 17
+        (orphan,) = temp_files(root / f"{kind}s")
+        assert f".{store_module.HOST}-{child.pid}-" in orphan.name
+
+        store = TraceStore(root)
+        trace_key = kernel_trace_key("first_diff", n=96)
+        key = result_key(spec_a())
+        if kind == "trace":
+            assert store.load(trace_key) is None
+        else:
+            assert store.lookup_result(key) is None
+        store.gc()
+        assert temp_files(root) == []
+        assert store.active_leases() == 0  # the dead child's, swept
+
+        before = (interpretation_count(), evaluation_count())
+        trace = kernel_trace_cached("first_diff", n=96, store=store)
+        _kernel, scenario = next(spec_a().points())
+        store.get_result(key, lambda: evaluate_scenario(trace, scenario))
+        store.get_result(key, lambda: evaluate_scenario(trace, scenario))
+        built = (interpretation_count() - before[0],
+                 evaluation_count() - before[1])
+        assert built == ((1, 1) if kind == "trace" else (0, 1))
+        assert store.path_for(trace_key).stat().st_mode & 0o777 == 0o600
+        assert store.result_path_for(key).stat().st_mode & 0o777 == 0o600
+
+    def test_only_orphaned_temps_are_reaped(self, tmp_path, monkeypatch):
+        """GC and ``clear`` take a dead same-host writer's temp at once
+        and any temp untouched for a TTL; a live writer's temp stays."""
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 60.0)
+        store = TraceStore(tmp_path, max_bytes=10_000)
+        child = ctx().Process(target=lambda: None)
+        child.start()
+        child.join(timeout=30)
+        shard = tmp_path / "results" / "ab"
+        shard.mkdir(parents=True)
+        host = store_module.HOST
+        dead = shard / f"x-ab.npz.{host}-{child.pid}-0.tmp"
+        dead.write_bytes(b"\0" * 1_000_000)
+        live = shard / f"x-ab.npz.{host}-{os.getpid()}-0.tmp"
+        live.write_bytes(b"live")
+        elsewhere = shard / "x-ab.npz.elsewhere-1-0.tmp"
+        elsewhere.write_bytes(b"fresh")
+        stale = shard / "x-ab.npz.elsewhere-2-0.tmp"
+        stale.write_bytes(b"old")
+        long_ago = time.time() - 120.0
+        os.utime(stale, (long_ago, long_ago))
+
+        store.gc()
+        assert temp_files(tmp_path) == sorted([live, elsewhere])
+        store.clear()
+        assert temp_files(tmp_path) == sorted([live, elsewhere])
+        monkeypatch.setattr(store_module, "LEASE_TTL_S", 0.0)
+        store.clear()
+        assert temp_files(tmp_path) == []
