@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import threading
 from dataclasses import dataclass, field, replace
 from typing import Mapping, Protocol, runtime_checkable
 
@@ -354,6 +355,8 @@ def backend_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 _evaluations = 0
+#: dispatcher threads count pool evaluations while others evaluate
+_evaluations_lock = threading.Lock()
 
 
 def evaluation_count() -> int:
@@ -363,31 +366,33 @@ def evaluation_count() -> int:
     :func:`repro.engine.store.interpretation_count`: every engine
     evaluation funnels through :func:`evaluate_scenario`, so a campaign
     replayed entirely from the result cache keeps this counter flat.
-    The counter itself is per-process, but evaluations a parallel
-    campaign runs inside pool workers are *merged back* on campaign
-    completion — each worker logs its evaluations to a write-ahead
-    touch file and the campaign parent folds the total in through
-    :func:`record_evaluations` — so after a campaign finishes (stream
-    drained) the count covers worker-side evaluations too.
+    The counter is per-process, but an evaluation that a pool worker
+    runs — for a campaign, a ``run_grid(parallel=True)`` call or an
+    evaluation service — is counted again, through
+    :func:`record_evaluations`, in the process that receives its
+    outcome, so the count covers worker-side evaluations as their
+    outcomes arrive.
     """
     return _evaluations
 
 
 def record_evaluations(n: int) -> None:
-    """Merge evaluations performed outside this process into the count.
+    """Count evaluations performed in another process.
 
-    The campaign executor calls this when it folds pool workers'
-    write-ahead touch files back in: each worker counted its own
-    :func:`evaluate_scenario` calls in its own process, and this is
-    how those land in the parent's :func:`evaluation_count` instead of
-    being lost with the pool.
+    The fork pool's result loop and the evaluation service call this
+    once per outcome a pool worker returns: the worker counted its own
+    :func:`evaluate_scenario` call in its own process, and this is how
+    it lands in :func:`evaluation_count` here instead of being lost
+    with the pool.
     """
     global _evaluations
-    _evaluations += int(n)
+    with _evaluations_lock:
+        _evaluations += n
 
 
 def evaluate_scenario(trace: Trace, scenario: Scenario) -> EvalOutcome:
     """Dispatch one evaluation through the registry (counted)."""
     global _evaluations
-    _evaluations += 1
+    with _evaluations_lock:
+        _evaluations += 1
     return get_backend(scenario.backend).evaluate(trace, scenario)

@@ -220,10 +220,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
     from .bench import render_table
 
     store = _store_for(args)
-    # Fold in write-ahead touch files abandoned by dead campaigns (a
-    # file idle for minutes has no owner coming back for it); files a
-    # live campaign is still appending to are left for their owner.
-    store.merge_touches(stale_after_s=300.0)
     if args.prometheus:
         print(store.stats_registry().to_prometheus(), end="")
         return 0
@@ -254,7 +250,6 @@ def _cmd_store_stats(args: argparse.Namespace) -> int:
 
 def _cmd_store_gc(args: argparse.Namespace) -> int:
     store = _store_for(args)
-    store.merge_touches(stale_after_s=300.0)
     report = store.gc(max_bytes=args.max_bytes)
     if report.max_bytes is None:
         print(

@@ -68,11 +68,9 @@ whole record::
     <root>/traces/<ab>/...   trace .npz, shard = digest[:2]
     <root>/results/<cd>/...  cached EvalOutcome .npz, same scheme;
                              size = st_size, created = mtime,
-                             last used = atime (re-stamped per hit)
-    <root>/touch/*.jsonl     per-worker access logs from pool and
-                             service workers, applied (access times,
-                             counters, worker evaluation counts) on
-                             campaign completion
+                             last used = atime (re-stamped per hit,
+                             and once per campaign for a trace it
+                             evaluated against)
     <root>/leases/*.json     cross-process claim leases: hard links to
                              a holder file whose mtime, heartbeat-
                              renewed, is their expiry; independent

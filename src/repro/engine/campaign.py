@@ -295,8 +295,9 @@ class CampaignSpec:
 
         Two specs enumerating the same points share a digest however
         they were constructed (aliases are canonicalised in
-        ``__post_init__``).  The engine uses it to attribute a
-        campaign's write-ahead store-touch files.
+        ``__post_init__``).  The fleet keys a submitted campaign by
+        it, and telemetry events name a campaign by its first eight
+        characters.
         """
         return hashlib.sha256(
             json.dumps(self.to_dict(), sort_keys=True).encode()

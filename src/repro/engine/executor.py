@@ -39,14 +39,15 @@ Three engine features ride on the same job indexing:
   canonically-ordered :class:`CampaignResult` a non-streaming run
   produces;
 * **store accounting** — every evaluated job counts as a use of its
-  trace: serial jobs count and stamp it in the parent
-  (:meth:`TraceStore.touch <repro.engine.store.TraceStore.touch>`),
-  pool workers append a record to a per-process access log
-  (:func:`repro.engine.store.append_touch`) that the parent merges on
-  campaign completion (access times for the GC's LRU order, hit
-  counters, worker-side evaluation counts folded into
-  :func:`repro.backends.evaluation_count` via
-  :func:`~repro.backends.base.record_evaluations`).
+  trace.  Workers only evaluate: the stream tallies each job whose
+  outcome reaches it, whichever executor ran the job, and on
+  completion hands the tally to the store in one batch
+  (:meth:`TraceStore.merge_touches
+  <repro.engine.store.TraceStore.merge_touches>`: trace-hit counters,
+  and one access-time stamp per trace for the GC's LRU order).  The
+  process that receives a pool worker's outcome counts its evaluation
+  in :func:`repro.backends.evaluation_count`, through
+  :func:`~repro.backends.base.record_evaluations`.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from __future__ import annotations
 import multiprocessing as mp
 import os
 import time
-import uuid
 import warnings
-from typing import TYPE_CHECKING, Callable, Iterator, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 from .. import obs
 from ..backends import EvalOutcome, Scenario, evaluate_scenario
@@ -67,8 +68,8 @@ from .campaign import CampaignSpec, KernelSpec
 from .results import CampaignResult, EvalRecord
 from .store import (
     ResultKey,
+    TraceKey,
     TraceStore,
-    append_touch,
     default_store,
     kernel_trace_key,
 )
@@ -78,11 +79,9 @@ if TYPE_CHECKING:
 
 __all__ = ["CampaignStream", "default_workers", "run_campaign", "run_grid"]
 
-#: Worker-side trace table and (touch_dir, tag) for access logging;
-#: set by the pool initializer (it runs in every worker, whatever the
-#: start method), never in the parent.
+#: Worker-side trace table; set by the pool initializer (it runs in
+#: every worker, whatever the start method), never in the parent.
 _WORKER_TRACES: dict[str, Trace] = {}
-_WORKER_TOUCH: tuple[str, str] | None = None
 
 #: A job is (canonical index, trace label, trace ref, scenario); the
 #: ref names the stored trace the job evaluates ("" when
@@ -95,35 +94,22 @@ def default_workers() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _init_worker(
-    traces: dict[str, Trace], touch: tuple[str, str] | None
-) -> None:
-    global _WORKER_TRACES, _WORKER_TOUCH
+def _init_worker(traces: dict[str, Trace]) -> None:
+    global _WORKER_TRACES
     _WORKER_TRACES = traces
-    _WORKER_TOUCH = touch
 
 
 def _eval_job(job: _Job) -> tuple[int, EvalOutcome, float]:
     """Pool-worker entry point: evaluate against the worker's traces."""
-    index, label, ref, scenario = job
+    index, label, _ref, scenario = job
     t0 = time.perf_counter()
     with obs.span("engine.evaluate", index=index):
         outcome = evaluate_scenario(_WORKER_TRACES[label], scenario)
-    wall = time.perf_counter() - t0
-    if _WORKER_TOUCH is not None and ref:
-        touch_dir, tag = _WORKER_TOUCH
-        # One access record per evaluation, to this worker's own file.
-        # ``evals=1`` carries the worker-side evaluation count home
-        # (the parent's counter never saw it).
-        append_touch(touch_dir, tag, ref, evals=1)
-    return index, outcome, wall
+    return index, outcome, time.perf_counter() - t0
 
 
 def _iter_parallel(
-    jobs: Sequence[_Job],
-    traces: dict[str, Trace],
-    workers: int,
-    touch: tuple[str, str] | None,
+    jobs: Sequence[_Job], traces: dict[str, Trace], workers: int
 ) -> Iterator[tuple[int, EvalOutcome, float]]:
     methods = mp.get_all_start_methods()
     ctx = mp.get_context("fork" if "fork" in methods else None)
@@ -132,12 +118,15 @@ def _iter_parallel(
     # (replacements for workers that die mid-run included) inherit
     # them copy-on-write, spawn children unpickle them once each.
     pool = ctx.Pool(
-        processes=workers, initializer=_init_worker, initargs=(traces, touch)
+        processes=workers, initializer=_init_worker, initargs=(traces,)
     )
 
     def results() -> Iterator[tuple[int, EvalOutcome, float]]:
         with pool:
-            yield from pool.imap_unordered(_eval_job, jobs, chunksize)
+            for result in pool.imap_unordered(_eval_job, jobs, chunksize):
+                # The worker counted this evaluation in its own process.
+                record_evaluations(1)
+                yield result
 
     return results()
 
@@ -159,18 +148,12 @@ class _JobRunner:
         traces: dict[str, Trace],
         parallel: bool,
         workers: int | None,
-        touch: tuple[str, str] | None = None,
         trace_paths: dict[str, str] | None = None,
-        used: Callable[[str], None] | None = None,
         service: EvalService | None = None,
     ) -> None:
         self._jobs = jobs
         self._traces = traces
-        self._touch = touch
         self._trace_paths = trace_paths
-        #: serial jobs report each use of a store-backed trace (by
-        #: label) straight to the store
-        self._used = used
         self._service = service
         self._parallel = service is None and parallel and len(jobs) >= 2
         self._workers = (
@@ -186,28 +169,23 @@ class _JobRunner:
             )
 
     def _serial(self) -> Iterator[tuple[int, EvalOutcome, float]]:
-        for index, label, ref, scenario in self._jobs:
+        for index, label, _ref, scenario in self._jobs:
             t0 = time.perf_counter()
             with obs.span("engine.evaluate", index=index):
                 outcome = evaluate_scenario(self._traces[label], scenario)
-            wall = time.perf_counter() - t0
-            if self._used is not None and ref:
-                self._used(label)
-            yield index, outcome, wall
+            yield index, outcome, time.perf_counter() - t0
 
     def __iter__(self) -> Iterator[tuple[int, EvalOutcome, float]]:
         if self._service is not None:
             yield from self._service.run_jobs(
-                self._jobs, self._traces, self._touch, self._trace_paths
+                self._jobs, self._traces, self._trace_paths
             )
             return
         if not self._parallel:
             yield from self._serial()
             return
         try:
-            pairs = _iter_parallel(
-                self._jobs, self._traces, self._workers, self._touch
-            )
+            pairs = _iter_parallel(self._jobs, self._traces, self._workers)
         except OSError as exc:
             warnings.warn(
                 f"worker pool unavailable ({exc}); falling back to serial",
@@ -261,9 +239,8 @@ class CampaignStream:
     finish them, then points replayed from peer campaigns — each
     tagged with its canonical ``index``.  :meth:`result` drains
     whatever has not been consumed and assembles the canonical-order
-    :class:`CampaignResult`.  On completion the stream merges its pool
-    workers' access logs into the store and releases any claims it
-    still holds.
+    :class:`CampaignResult`.  On completion the stream hands the store
+    its tally of trace uses and releases any claims it still holds.
     """
 
     def __init__(
@@ -282,17 +259,13 @@ class CampaignStream:
         self._store = store if store is not None else default_store()
         self._use_cache = use_cache
         self._started = time.perf_counter()
-        # The tag namespacing this campaign's worker access logs:
-        # spec identity for attribution, a nonce for uniqueness when
-        # the same spec runs twice concurrently.
-        self._touch_tag = f"{spec.digest[:8]}-{uuid.uuid4().hex[:8]}"
         #: shape of every trace *acquired for this run* (a fully-cached
         #: campaign loads no traces and records no shapes)
         self.trace_meta: dict[str, dict[str, int]] = {}
         self._records: list[EvalRecord] = []
         self._done = 0
 
-        trace_keys = {
+        self._trace_keys = trace_keys = {
             kernel.label: kernel_trace_key(
                 kernel.name, n=kernel.n, seed=kernel.seed
             )
@@ -363,9 +336,7 @@ class CampaignStream:
             traces,
             parallel,
             workers,
-            touch=(str(self._store.touch_dir), self._touch_tag),
             trace_paths=trace_paths,
-            used=lambda label: self._store.touch(trace_keys[label]),
             service=service,
         )
         self._iterator = self._generate()
@@ -446,12 +417,15 @@ class CampaignStream:
 
     def _generate(self) -> Iterator[EvalRecord]:
         runner_iter = iter(self._runner)
+        #: evaluated jobs per trace, whichever process ran them
+        uses: Counter[TraceKey] = Counter()
         try:
             for index, outcome in self._cached:
                 record = self._record(index, outcome, cache_hit=True)
                 self._records.append(record)
                 yield record
             for index, outcome, wall in runner_iter:
+                uses[self._trace_keys[self._points[index][0].label]] += 1
                 if self._use_cache:
                     self._store.put_result(self._result_keys[index], outcome)
                     self._owned_claims.discard(index)
@@ -467,26 +441,19 @@ class CampaignStream:
                 self._records.append(record)
                 yield record
         finally:
-            # Stop the runner (and its worker pool) *before* merging,
-            # so an early-abandoned stream cannot leave workers
-            # appending access records after their files were swept.
-            close = getattr(runner_iter, "close", None)
-            if close is not None:
-                close()
+            # Stop the runner: the worker pool, or this campaign's
+            # queued service jobs.
+            runner_iter.close()
             # Wake any peer waiting on a point this stream never
             # delivered (abandoned mid-iteration or errored).
             for index in sorted(self._owned_claims):
                 self._store.abandon_result_claim(self._result_keys[index])
             self._owned_claims.clear()
-            # Merge this campaign's worker access logs: access times
-            # feed the GC's LRU order, and the workers' evaluation
-            # counts join the process counter.
-            merged = self._store.merge_touches(self._touch_tag)
-            if merged["evaluations"]:
-                record_evaluations(merged["evaluations"])
-            # Telemetry follows the same per-process pattern: workers
-            # emitted into per-process JSONL files; fold them into the
-            # merged log now that the pool is closed.
+            # One batch per campaign: trace-hit counters, and one
+            # access-time stamp per trace for the GC's LRU order.
+            self._store.merge_touches(uses)
+            # Workers emitted telemetry into per-process JSONL files;
+            # fold them into the merged log now that the pool is closed.
             if obs.active():
                 obs.emit(
                     "campaign.done",

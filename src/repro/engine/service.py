@@ -14,11 +14,16 @@ process pool.
 
 Scheduling is all the service adds.  Every job is evaluated by the
 backend its scenario names, so a campaign's records and result-cache
-keys are the ones a serial run of the same spec produces.  Admission
-is bounded globally (``queue_size``); *dispatch* order round-robins
-across campaigns (:class:`_FairQueue`), so a 10⁵-point grid that
-arrived first cannot starve a later campaign behind its whole
-backlog.
+keys are the ones a serial run of the same spec produces.  Workers
+only evaluate: the campaign stream stores each outcome and counts its
+trace use, and the service counts a pool worker's evaluation in its
+own process (:func:`~repro.backends.base.record_evaluations`) when
+the outcome arrives.  A stream closed early cancels its queued jobs.
+
+Admission is bounded globally (``queue_size``); *dispatch* order
+round-robins across campaigns (:class:`_FairQueue`), so a 10⁵-point
+grid that arrived first cannot starve a later campaign behind its
+whole backlog.
 
 What sharing buys:
 
@@ -53,8 +58,8 @@ from __future__ import annotations
 
 import collections
 import concurrent.futures
+import itertools
 import multiprocessing as mp
-import os
 import queue as queue_module
 import threading
 import time
@@ -63,15 +68,18 @@ from typing import Iterator, Mapping, Sequence
 
 from .. import obs
 from ..backends import EvalOutcome, Scenario, evaluate_scenario
+from ..backends.base import record_evaluations
 from ..ir.trace import Trace
 from .executor import default_workers
-from .store import append_touch
 
 __all__ = ["DEFAULT_QUEUE_SIZE", "EvalService", "TraceUnavailableError"]
 
 #: Default bound on the service's admission queue: submissions beyond
 #: this block in the submitter until a dispatcher frees a slot.
 DEFAULT_QUEUE_SIZE = 128
+
+#: Names each campaign's fairness bucket (:meth:`EvalService.run_jobs`).
+_campaign_serial = itertools.count()
 
 
 class TraceUnavailableError(RuntimeError):
@@ -164,9 +172,9 @@ class _FairQueue:
 # the job payload and its worker-side entry point
 # ---------------------------------------------------------------------------
 
-#: (scenario, trace | None, trace_path, ref, touch, parent_pid) — kept a
-#: plain tuple so the pickle shipped per job stays minimal when the
-#: trace travels by path.
+#: (scenario, trace | None, trace_path, ref) — kept a plain tuple so
+#: the pickle shipped per job stays minimal when the trace travels by
+#: path.
 _Payload = tuple
 
 #: Worker-side memo of traces loaded by path; bounded so a worker that
@@ -195,24 +203,17 @@ def _run_job(payload: _Payload) -> EvalOutcome:
     """Evaluate one service job (runs in a pool worker, or inline).
 
     The scenario's own backend does the physics, through the counted
-    :func:`~repro.backends.evaluate_scenario`.  Evaluation counting
-    follows the campaign executor's write-ahead convention: the
-    executing process counts the evaluation, and a pool worker's count
-    additionally rides home on the touch record (``evals=1``) for the
-    campaign parent to merge.
+    :func:`~repro.backends.evaluate_scenario`, which counts the
+    evaluation in the process that runs it; a pool worker's is counted
+    again in the service's process when its outcome arrives.
     """
-    scenario, trace, trace_path, ref, touch, parent_pid = payload
+    scenario, trace, trace_path, ref = payload
     if trace is None:
         trace = _load_worker_trace(trace_path)
     # Pool workers inherit REPRO_OBS through the environment, so this
     # span lands in the worker's own per-process JSONL file.
     with obs.span("engine.evaluate", backend=scenario.backend, ref=ref):
-        outcome = evaluate_scenario(trace, scenario)
-    if touch is not None and ref:
-        touch_dir, tag = touch
-        in_parent = os.getpid() == parent_pid
-        append_touch(touch_dir, tag, ref, evals=0 if in_parent else 1)
-    return outcome
+        return evaluate_scenario(trace, scenario)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +251,6 @@ class EvalService:
             raise ValueError("workers must be non-negative")
         self.workers = default_workers() if workers is None else workers
         self.queue_size = queue_size
-        self._pid = os.getpid()
         self._lock = threading.Lock()
         self._closed = False
         self._pool: concurrent.futures.ProcessPoolExecutor | None = None
@@ -304,7 +304,7 @@ class EvalService:
         if pool is None:
             return _run_job(payload)
         try:
-            return pool.submit(_run_job, payload).result()
+            outcome = pool.submit(_run_job, payload).result()
         except concurrent.futures.process.BrokenProcessPool:
             # A worker died under the job (OOM-killed, sandbox): the
             # pool is unusable — degrade to inline like the campaign
@@ -319,6 +319,9 @@ class EvalService:
                 stacklevel=2,
             )
             return _run_job(payload)
+        # The worker counted this evaluation in its own process.
+        record_evaluations(1)
+        return outcome
 
     def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor | None:
         """The shared pool, created at most once (None: inline mode)."""
@@ -366,18 +369,17 @@ class EvalService:
         *,
         trace_path: str | None = None,
         ref: str = "",
-        touch: tuple[str, str] | None = None,
         campaign: str | None = None,
     ) -> concurrent.futures.Future:
         """Queue one evaluation; returns its future.
 
         Blocks only for *admission* (while the bounded queue is full),
         never for execution.  ``trace_path`` ships the trace by its
-        store artifact path instead of pickling it per job; ``ref`` and
-        ``touch`` carry the write-ahead accounting of campaign jobs.
-        ``campaign`` names the fairness bucket the job queues under
-        (anonymous submissions share one).  Every submission is its own
-        job; the store's claims, taken while planning, deduplicate.
+        store artifact path instead of pickling it per job; ``ref``
+        names the stored trace in telemetry.  ``campaign`` names the
+        fairness bucket the job queues under (anonymous submissions
+        share one).  Every submission is its own job; the store's
+        claims, taken while planning, deduplicate.
         """
         if trace is None and trace_path is None:
             raise ValueError("submit needs a trace or a trace_path")
@@ -387,8 +389,6 @@ class EvalService:
             None if trace_path is not None else trace,
             trace_path,
             ref,
-            touch,
-            self._pid,
         )
         depth = self._queue.put(campaign or "adhoc", (payload, future))
         with self._lock:
@@ -409,22 +409,21 @@ class EvalService:
         self,
         jobs: Sequence[tuple[int, str, str, Scenario]],
         traces: Mapping[str, Trace],
-        touch: tuple[str, str] | None,
         trace_paths: Mapping[str, str] | None = None,
     ) -> Iterator[tuple[int, EvalOutcome, float]]:
         """Submit a campaign's job list; yield outcomes as they finish.
 
         Jobs are ``(index, trace label, trace ref, scenario)``; each
-        yields ``(index, outcome, wall seconds)``.  Store-backed traces
-        travel by artifact path (each shared worker loads and memoises
-        them once); a worker that finds a path unavailable — evicted
-        between planning and execution — triggers one resubmission
-        with the trace shipped inline from the submitter's memory.
+        yields ``(index, outcome, wall seconds)``.  The jobs share one
+        fairness bucket.  Store-backed traces travel by artifact path
+        (each shared worker loads and memoises them once); a worker
+        that finds a path unavailable — evicted between planning and
+        execution — triggers one resubmission with the trace shipped
+        inline from the submitter's memory.  Closing the iterator
+        early cancels the jobs still queued.
         """
         trace_paths = trace_paths or {}
-        # Fairness bucket: the campaign's touch tag is its identity for
-        # round-robin dispatch (anonymous grids share one bucket).
-        campaign = touch[1] if touch is not None else None
+        campaign = f"campaign-{next(_campaign_serial)}"
         # Completion is collected through one done-callback per future
         # feeding a queue — O(jobs) bookkeeping total, where repeated
         # `concurrent.futures.wait` calls would re-register a waiter
@@ -443,7 +442,6 @@ class EvalService:
                 scenario,
                 trace_path=path,
                 ref=ref,
-                touch=touch,
                 campaign=campaign,
             )
             pending[future] = (job, time.perf_counter())
@@ -462,14 +460,11 @@ class EvalService:
                     continue
                 yield job[0], outcome, time.perf_counter() - submitted_at
         finally:
-            # An abandoned or errored stream cannot cancel jobs the
-            # resident pool already accepted — but it must not return
-            # while they are still appending this campaign's touch
-            # files (the stream merges them right after closing us).
-            # Drain, bounded: stragglers past the timeout fall to the
-            # stale-file sweep of `repro store stats`.
-            if pending:
-                concurrent.futures.wait(list(pending), timeout=60.0)
+            # An abandoned or errored stream stops using the service:
+            # its queued jobs are cancelled, and one already running
+            # finishes with nobody waiting for its outcome.
+            for future in pending:
+                future.cancel()
 
     # -- observability ---------------------------------------------------------
     @property

@@ -35,7 +35,6 @@ therefore shards::
     <root>/
       traces/<ab>/<name>-<digest16>.npz     trace shards
       results/<cd>/<backend>-<digest20>.npz result shards
-      touch/<tag>-<host>-<pid>.jsonl        pool-worker access logs
       leases/<k>-<ref>.json                 claim leases (k: t or r)
       leases/hb/<host>-<pid>-<n>.json       lease holders, one per store
       …/<final>.<host>-<pid>-<n>.tmp        a write not yet renamed
@@ -53,7 +52,11 @@ therefore shards::
   ``os.scandir`` walk over the shard directories.
 * **Recency** — a put sets atime = mtime from one clock, and every hit
   re-stamps atime only (``os.utime``), so LRU order survives process
-  boundaries with nothing to flush.
+  boundaries with nothing to flush.  Each evaluated job of a campaign
+  is a use of its trace: the campaign's own process tallies them,
+  whichever executor ran the job, and stamps each trace once when the
+  campaign completes (:meth:`TraceStore.merge_touches`).  No store
+  file is ever appended to.
 * **GC** — ``TraceStore(max_bytes=...)`` bounds disk use:
   :meth:`TraceStore.gc` (also run automatically after a put that
   takes the store over its budget) evicts least-recently-used
@@ -65,12 +68,6 @@ therefore shards::
   (``counters.evictions`` / ``result_counters.evictions``).  Puts stay O(1): with no budget they
   do no scan at all, and with one they add to a running byte total
   that one scan seeds and every GC pass recomputes.
-* **Worker access logs** — multiprocessing pool workers (and service
-  workers) append one JSON line per evaluation to their own
-  ``touch/<tag>-<host>-<pid>.jsonl`` file; the campaign parent merges
-  them when the campaign completes (:meth:`TraceStore.merge_touches`):
-  access times are applied with ``os.utime``, and trace-hit counters
-  and worker-side evaluation counts join the parent's.
 * **Claim leases** — in-process claims (threads, streams) coordinate
   through :class:`threading.Event`; *cross-process* claims through
   leases under ``leases/``.  Before its first lease, a store writes one
@@ -84,7 +81,10 @@ therefore shards::
   ones to a new holder file, so an expired inode is never renewed.
   Without hard links, a lease is its own exclusively created file,
   renewed by the heartbeat too.  A crash delays rivals by at most
-  ``LEASE_TTL_S``; a live builder is never duplicated.
+  ``LEASE_TTL_S``; a live builder is never duplicated.  The process
+  that made a holder unlinks it when its store is finalised or the
+  interpreter exits; a lease still linked to it keeps the inode, and
+  rivals steal it as they would after a crash.
 * **Temp files** — every artifact and holder is written through a
   temp named for its writer and renamed into place
   (:func:`repro._files.write_once`).  Explicit :meth:`TraceStore.gc`
@@ -110,10 +110,10 @@ import json
 import os
 import re
 import itertools
-import socket
 import threading
 import time
 import warnings
+import weakref
 import zipfile
 from collections import Counter
 from dataclasses import dataclass, field
@@ -140,7 +140,6 @@ __all__ = [
     "StoreCounters",
     "TraceKey",
     "TraceStore",
-    "append_touch",
     "build_trace",
     "default_store",
     "interpretation_count",
@@ -158,7 +157,6 @@ STORE_MAX_BYTES_ENV = "REPRO_STORE_MAX_BYTES"
 
 _TRACES_DIR = "traces"
 _RESULTS_DIR = "results"
-_TOUCH_DIR = "touch"
 _LEASES_DIR = "leases"
 
 #: The claim protocol's one deadline: how long a caller defers to a
@@ -176,8 +174,6 @@ LEASE_TTL_S = 30.0
 #: How often a cross-process lease waiter re-checks for the peer's
 #: result (or the lease's disappearance).
 _LEASE_POLL_S = 0.05
-
-_HOSTNAME = socket.gethostname() or "localhost"
 
 #: Holder files live in a subdirectory so the ``*-*.json`` globs over
 #: claim-lease files never pick one up.
@@ -364,16 +360,14 @@ class _Entry(NamedTuple):
     mtime_ns: int  # creation
 
 
-def _stamp(path: Path, at_ns: int | None = None) -> None:
+def _stamp(path: Path) -> None:
     """Record a use of an artifact: atime moves forward, mtime stays.
 
     A file that vanished (evicted, or cleared by another process) is
     ignored — recency is a hint, never worth failing a lookup over.
     """
     try:
-        st = os.stat(path)
-        atime = time.time_ns() if at_ns is None else max(at_ns, st.st_atime_ns)
-        os.utime(path, ns=(atime, st.st_mtime_ns))
+        os.utime(path, ns=(time.time_ns(), os.stat(path).st_mtime_ns))
     except OSError:
         pass
 
@@ -437,39 +431,6 @@ def _load_outcome(path: Path) -> EvalOutcome:
     )
 
 
-def append_touch(
-    touch_dir: str | os.PathLike, tag: str, ref: str, *, evals: int = 0
-) -> None:
-    """Append one access record for a trace entry.
-
-    Pool and service workers call this once per evaluated job: each
-    process appends to its *own* ``<tag>-<host>-<pid>.jsonl`` file, so
-    no two writers ever share a file.  The campaign parent applies the
-    records — access times, trace-hit counters and worker-side
-    evaluation counts — via :meth:`TraceStore.merge_touches`.
-    Failures are swallowed: touches are advisory (LRU hints and
-    observability), never worth failing an evaluation over.
-    """
-    try:
-        directory = Path(touch_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        line = json.dumps(
-            {
-                "ref": ref,
-                "kind": "trace",
-                "at": time.time(),
-                "evals": int(evals),
-            }
-        )
-        # Host + pid in the filename: fleet workers on different hosts
-        # sharing one store root may reuse a pid.
-        name = f"{tag}-{HOST}-{os.getpid()}.jsonl"
-        with open(directory / name, "a") as fh:
-            fh.write(line + "\n")
-    except OSError:
-        pass
-
-
 @dataclass
 class StoreCounters:
     """Observability: where each ``get`` was satisfied, plus GC work."""
@@ -531,6 +492,17 @@ class _Holder(NamedTuple):
     path: Path
     ident: tuple[int, int]  # (st_dev, st_ino)
     pid: int  # its maker: a forked child makes its own
+    #: removes the file, at most once: when called, when the store is
+    #: finalised, or at interpreter exit
+    unlink: weakref.finalize
+
+
+def _unlink_holder(path: Path, pid: int) -> None:
+    """Remove a holder file, only in the process that made it: a forked
+    child inherits its parent's finalizers."""
+    if os.getpid() == pid:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
 
 
 class _Seen(NamedTuple):
@@ -565,13 +537,13 @@ def _judge_lease(path: Path) -> _Seen | None:
     holder["expires"] = st.st_mtime
     if st.st_mtime <= time.time():
         return _Seen("expired", holder, ident)
-    if holder["host"] == _HOSTNAME and not pid_alive(holder["pid"]):
+    if holder["host"] == HOST and not pid_alive(holder["pid"]):
         return _Seen("dead-holder", holder, ident)
     return _Seen(None, holder, ident)
 
 
 def _holder_document(fh: BinaryIO) -> None:
-    fh.write(json.dumps({"pid": os.getpid(), "host": _HOSTNAME}).encode())
+    fh.write(json.dumps({"pid": os.getpid(), "host": HOST}).encode())
 
 
 def _create_own_lease(path: Path, expires: float) -> tuple[int, int] | None:
@@ -700,11 +672,6 @@ class TraceStore:
         self._leases_idle = threading.Event()
 
     # -- paths -----------------------------------------------------------------
-    @property
-    def touch_dir(self) -> Path:
-        """Where per-worker access logs live."""
-        return self.root / _TOUCH_DIR
-
     def path_for(self, key: TraceKey) -> Path:
         """Canonical shard path of a trace entry."""
         return self.root / _TRACES_DIR / shard_of(key.digest) / key.filename
@@ -835,12 +802,14 @@ class TraceStore:
 
     def _new_holder(self) -> None:
         """Write a new holder file, expiring one TTL from now (locked)."""
-        name = f"{HOST}-{os.getpid()}-{next(_holder_serial)}.json"
+        pid = os.getpid()
+        name = f"{HOST}-{pid}-{next(_holder_serial)}.json"
         path = write_once(self.lease_dir / _HB_DIR / name, _holder_document)
         self._holder_expires = time.time() + LEASE_TTL_S
         os.utime(path, (time.time(), self._holder_expires))
         st = os.stat(path)
-        self._holder = _Holder(path, (st.st_dev, st.st_ino), os.getpid())
+        unlink = weakref.finalize(self, _unlink_holder, path, pid)
+        self._holder = _Holder(path, (st.st_dev, st.st_ino), pid, unlink)
 
     def _renew_holder(self) -> bool:
         """Move the holder's expiry one TTL on, unless it has passed or
@@ -866,8 +835,7 @@ class TraceStore:
             obs.emit("lease.expire", kind=kind, ref=ref)
         self._held_leases = {}
         self._leases_idle.set()
-        with contextlib.suppress(OSError):
-            os.unlink(self._holder.path)
+        self._holder.unlink()
         self._holder = None
 
     def _holder_for_lease(self) -> _Holder:
@@ -1176,16 +1144,6 @@ class TraceStore:
         self._release("trace", key.ref)  # wake any claim waiters
         return path
 
-    def touch(self, key: TraceKey) -> None:
-        """Count one use of an in-memory trace and stamp its recency.
-
-        The serial executor calls this once per evaluated job (pool
-        workers log the same use to their access files instead).
-        """
-        with self._lock:
-            self.counters.memory_hits += 1
-        _stamp(self.path_for(key))
-
     def compact_traces(
         self, refs: "Iterable[str] | None" = None
     ) -> list[dict]:
@@ -1239,7 +1197,7 @@ class TraceStore:
         with self._lock:
             trace = self._memory.get(key)
         if trace is not None:
-            self.touch(key)
+            self.merge_touches({key: 1})
             return trace
         trace = self.load(key)
         if trace is not None:
@@ -1386,62 +1344,21 @@ class TraceStore:
             raise
         return outcome
 
-    # -- worker access logs ----------------------------------------------------
-    def merge_touches(
-        self, tag: str | None = None, *, stale_after_s: float = 0.0
-    ) -> dict[str, int]:
-        """Apply per-worker access logs to the store, then delete them.
+    # -- trace uses ------------------------------------------------------------
+    def merge_touches(self, uses: Mapping[TraceKey, int]) -> None:
+        """Count trace uses as memory hits and stamp each trace once.
 
-        Every record counts as a trace-store memory hit (the job
-        evaluated against the already-acquired table), its time moves
-        the trace's atime forward (``os.utime``, so LRU order sees
-        worker use), and worker-side evaluation counts are summed for
-        the caller to merge into the process counter.  With ``tag``
-        only that campaign's files are merged, so a completing campaign
-        never swallows (and half-reads) the logs of one still in
-        flight.  Untagged callers (the ``repro store`` admin commands,
-        which cannot know which campaigns are live in other processes)
-        pass ``stale_after_s`` to merge only files idle at least that
-        long — a file still being appended to belongs to a running
-        campaign and is left for its owner.  Malformed trailing lines
-        (a worker killed mid-write) are skipped, not propagated.
+        ``uses`` maps a trace to how many times it was used.  A campaign
+        tallies every evaluated job whose outcome reaches it, whichever
+        executor ran the job, and passes the tally here once when it
+        completes, so a trace's atime moves once per campaign rather
+        than once per job; a lookup served from memory passes one use.
+        ``benchmarks/campaign/spans.py`` times this under its name.
         """
-        pattern = f"{tag}-*.jsonl" if tag else "*.jsonl"
-        merged = {"files": 0, "touches": 0, "evaluations": 0}
-        if not self.touch_dir.is_dir():
-            return merged
-        #: ref -> latest access time (ns) over every merged record
-        latest: dict[str, int] = {}
-        for path in sorted(self.touch_dir.glob(pattern)):
-            try:
-                if (
-                    stale_after_s
-                    and time.time() - path.stat().st_mtime < stale_after_s
-                ):
-                    continue  # a live campaign's access log
-                lines = path.read_text().splitlines()
-            except OSError:
-                continue
-            for line in lines:
-                try:
-                    record = json.loads(line)
-                    ref = str(record["ref"])
-                    at_ns = int(float(record.get("at", 0.0)) * 1e9)
-                    evals = int(record.get("evals", 0))
-                except (ValueError, TypeError, KeyError):
-                    continue  # torn line
-                latest[ref] = max(latest.get(ref, 0), at_ns)
-                merged["touches"] += 1
-                merged["evaluations"] += evals
-            path.unlink(missing_ok=True)
-            merged["files"] += 1
         with self._lock:
-            self.counters.memory_hits += merged["touches"]
-        for ref, at_ns in latest.items():
-            shard = self.root / _TRACES_DIR / shard_of(ref)
-            for path in shard.glob(f"*-{ref}.npz"):
-                _stamp(path, at_ns)
-        return merged
+            self.counters.memory_hits += sum(uses.values())
+        for key in uses:
+            _stamp(self.path_for(key))
 
     # -- garbage collection ----------------------------------------------------
     def total_bytes(self) -> int:
@@ -1529,11 +1446,6 @@ class TraceStore:
         # lookups/puts.
         active = self.active_leases()
         entries = self._scan()
-        pending = (
-            sum(1 for _ in self.touch_dir.glob("*.jsonl"))
-            if self.touch_dir.is_dir()
-            else 0
-        )
         registry = obs.MetricsRegistry()
         registry.label("root", str(self.root))
         registry.label("max_bytes", self.max_bytes)
@@ -1551,9 +1463,6 @@ class TraceStore:
         registry.gauge("shards", "populated shard directories").set(
             len({entry.path.parent for entry in entries})
         )
-        registry.gauge(
-            "pending_touch_files", "unmerged worker access logs"
-        ).set(pending)
         registry.gauge("active_leases", "live claim leases").set(active)
         with self._lock:
             for kind, counters in (
@@ -1594,7 +1503,6 @@ class TraceStore:
             self._held_leases, self._holder = {}, None
             self._leases_idle.set()
             for path in [
-                *self.touch_dir.glob("*.jsonl"),
                 *self.lease_dir.glob("*-*.json"),
                 *(self.lease_dir / _HB_DIR).glob("*.json"),
             ]:

@@ -6,8 +6,8 @@ parent, ``multiprocessing`` pool workers, ``repro serve`` pool
 workers, remote fleet workers — appends to its own
 ``<stem>-<host>-<pid>.jsonl`` so no file is ever shared across
 processes *or hosts* (two machines sharing one store root can reuse a
-pid; the hostname prefix keeps their telemetry apart), exactly like
-the store's write-ahead touch files.  :func:`merge` concatenates the
+pid; the hostname prefix keeps their telemetry apart), as the store
+names the temp files of its writes.  :func:`merge` concatenates the
 per-process files into ``<stem>.jsonl`` in timestamp order *without*
 deleting the sources: long-lived service workers keep their file
 handles open, and deleting under them would silently drop events from

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -15,7 +17,9 @@ from repro.backends import (
     cost_model,
     cost_model_names,
     evaluate_scenario,
+    evaluation_count,
     get_backend,
+    record_evaluations,
     register_backend,
 )
 from repro.backends.base import _REGISTRY
@@ -92,6 +96,52 @@ class TestRegistry:
             assert row["doubled"] == outcome.metrics["doubled"]
         finally:
             del _REGISTRY["doubler"]
+
+
+class _Instant:
+    """A backend that does no work, so a stress test counts quickly."""
+
+    name = "instant"
+    scenario_axes: tuple[str, ...] = ()
+    result_schema: tuple[str, ...] = ()
+    table_metrics: tuple[str, ...] = ()
+
+    def evaluate(self, trace, scenario):
+        return None
+
+
+def test_concurrent_counting_loses_no_evaluation(hydro_trace):
+    """Service dispatcher threads count pool evaluations while other
+    threads evaluate: with thread switches forced every microsecond,
+    every count lands."""
+    register_backend(_Instant())
+    scenario = Scenario(config=config(), backend=_Instant.name)
+    per_thread, switch = 5_000, sys.getswitchinterval()
+
+    def record() -> None:
+        for _ in range(per_thread):
+            record_evaluations(1)
+
+    def evaluate() -> None:
+        for _ in range(per_thread):
+            evaluate_scenario(hydro_trace, scenario)
+
+    threads = [
+        threading.Thread(target=target)
+        for target in (record, evaluate) * 4
+    ]
+    before = evaluation_count()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(switch)
+        del _REGISTRY[_Instant.name]
+    assert not any(thread.is_alive() for thread in threads)
+    assert evaluation_count() - before == len(threads) * per_thread
 
 
 class TestCostModels:

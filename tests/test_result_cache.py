@@ -11,12 +11,14 @@ from repro.core import MachineConfig
 from repro.engine import (
     CampaignResult,
     CampaignSpec,
+    EvalService,
     KernelSpec,
     ResultKey,
     TraceStore,
     kernel_trace_cached,
     kernel_trace_key,
     run_campaign,
+    run_grid,
 )
 
 
@@ -249,60 +251,73 @@ class TestCampaignResultCache:
         assert len(result) == spec.n_points
         assert "shared[" not in result.executor
 
-    def test_untagged_merge_spares_fresh_touch_files(self, tmp_path):
-        """An admin merge (stats/gc CLI) must not swallow write-ahead
-        files a live campaign is still appending to."""
-        store = TraceStore(tmp_path)
-        store.touch_dir.mkdir(parents=True)
-        live = store.touch_dir / "deadbeef-123.jsonl"
-        live.write_text('{"ref": "ab", "kind": "trace", "at": 1.0}\n')
-        merged = store.merge_touches(stale_after_s=300.0)
-        assert merged["files"] == 0
-        assert live.is_file()  # left for its owner
-        merged = store.merge_touches()  # a tagged/owner-style merge
-        assert merged["files"] == 1
-        assert not live.is_file()
-
-    def test_parallel_workers_merge_counts_into_parent(self, tmp_path):
-        """The satellite contract: hit and evaluation counts produced
-        inside pool workers are folded back into the parent's counters
-        (write-ahead touch files merged on campaign completion), not
-        lost with the pool."""
+    @pytest.mark.parametrize(
+        "executor", ["serial", "fork-pool", "service-pool", "service-inline"]
+    )
+    def test_executor_counts_in_parent(
+        self, executor, tmp_path, monkeypatch
+    ):
+        """One accounting contract for every executor: workers only
+        evaluate, and the campaign's own process counts each job as a
+        trace use and as an evaluation, hands the uses to the store in
+        one batch that stamps the trace's atime (never its mtime), and
+        nothing but traces, results and leases lands under the root."""
         spec = small_spec()
-        store = TraceStore(tmp_path)
+        key = kernel_trace_key("hydro_fragment", n=120)
+        kernel_trace_cached("hydro_fragment", n=120, store=TraceStore(tmp_path))
+        store = TraceStore(tmp_path)  # the trace is on disk, not in memory
+        path = store.path_for(key)
+        batches: list[dict] = []
+        merge = TraceStore.merge_touches
+
+        def recording(self, uses):
+            batches.append(dict(uses))
+            return merge(self, uses)
+
+        monkeypatch.setattr(TraceStore, "merge_touches", recording)
+        service = None
+        if executor == "serial":
+            options = {"parallel": False}
+        elif executor == "fork-pool":
+            options = {"parallel": True, "workers": 2}
+        else:
+            service = EvalService(workers=2 if executor == "service-pool" else 0)
+            options = {"service": service}
         before_hits = store.counters.memory_hits
         before_evals = evaluation_count()
-        run_campaign(
-            spec, store=store, parallel=True, workers=2, use_cache=False
-        )
-        # One trace-access record per evaluated job, logged by whichever
-        # process ran it, all merged home.
-        assert (
-            store.counters.memory_hits - before_hits == spec.n_points
-        )
-        # Worker-side evaluate_scenario calls joined the parent count.
+        try:
+            stream = run_campaign(spec, store=store, stream=True, **options)
+            # Planning acquired the trace; from here only the batch
+            # stamps it.
+            os.utime(path, ns=(1, 1))
+            result = stream.result()
+        finally:
+            if service is not None:
+                service.close()
+        assert len(result) == spec.n_points
+        assert store.counters.memory_hits - before_hits == spec.n_points
         assert evaluation_count() - before_evals == spec.n_points
-        # Nothing left pending: the write-ahead files were consumed.
-        assert not list(store.touch_dir.glob("*.jsonl"))
-
-    def test_serial_run_counts_trace_uses_without_access_logs(
-        self, tmp_path
-    ):
-        """The serial executor counts each evaluated job as a trace
-        hit and stamps the trace's atime itself: no access log is
-        written, and the trace reads as used after the campaign."""
-        spec = small_spec()
-        store = TraceStore(tmp_path)
-        kernel_trace_cached("hydro_fragment", n=120, store=store)
-        path = store.path_for(kernel_trace_key("hydro_fragment", n=120))
-        os.utime(path, ns=(1, 1))
-        before_hits = store.counters.memory_hits
-        run_campaign(spec, store=store, parallel=False, use_cache=False)
-        # One hit to acquire the trace, then one per evaluated job.
-        assert store.counters.memory_hits - before_hits == spec.n_points + 1
-        assert not store.touch_dir.exists()
+        assert batches == [{key: spec.n_points}]
         assert path.stat().st_atime_ns > 1
         assert path.stat().st_mtime_ns == 1  # recency never moves mtime
+        assert {p.name for p in tmp_path.iterdir()} <= {
+            "traces",
+            "results",
+            "leases",
+        }
+        assert not list(tmp_path.rglob("*.tmp"))
+
+    def test_parallel_run_grid_counts_pool_evaluations(self, tmp_path):
+        """Evaluations that ``run_grid``'s fork pool runs are counted in
+        the caller's process, as each outcome arrives."""
+        trace = kernel_trace_cached(
+            "hydro_fragment", n=120, store=TraceStore(tmp_path)
+        )
+        configs = [MachineConfig(n_pes=p, page_size=32) for p in (1, 2, 4, 8)]
+        before = evaluation_count()
+        outcomes = run_grid(trace, configs, parallel=True, workers=2)
+        assert len(outcomes) == len(configs)
+        assert evaluation_count() - before == len(configs)
 
     def test_cold_run_matches_cache_off_rerun(self, tmp_path):
         """A freshly built trace and its disk copy take the same replay

@@ -51,7 +51,7 @@ from repro.engine import (
     run_campaign,
     set_default_store,
 )
-from repro.engine.service import _FairQueue
+from repro.engine.service import DEFAULT_QUEUE_SIZE, _FairQueue
 
 
 @pytest.fixture()
@@ -516,6 +516,21 @@ class _FailsOnTwoPEs:
         return replace(outcome, backend=self.name)
 
 
+class _Slow:
+    """Untimed physics, a few milliseconds late: the sleep lets the
+    submitting thread run while the dispatcher works."""
+
+    name = "slow-untimed"
+    scenario_axes: tuple[str, ...] = ()
+    result_schema = get_backend("untimed").result_schema
+    table_metrics: tuple[str, ...] = ()
+
+    def evaluate(self, trace, scenario):
+        time.sleep(0.005)
+        outcome = get_backend("untimed").evaluate(trace, scenario)
+        return replace(outcome, backend=self.name)
+
+
 class TestStoreCoordination:
     """Every caller of the store's claim protocol — serial and service
     campaigns, the fleet worker, ``get_result``/``get`` — publishes
@@ -560,6 +575,46 @@ class TestStoreCoordination:
                     assert store.lookup_result(key, count=False) is None
         finally:
             del _REGISTRY[_FailsOnTwoPEs.name]
+
+    def test_abandoned_stream_cancels_its_queued_jobs(
+        self, tmp_path, make_service
+    ):
+        """A stream closed after one record stops using the service at
+        once: the jobs it queued are cancelled, so they never run, even
+        while the service goes on to run a later campaign, and its
+        claims are abandoned, so that campaign computes every point
+        itself instead of deferring to the closed stream."""
+        register_backend(_Slow())
+        try:
+            service = make_service(workers=0)
+            spec = CampaignSpec(
+                name="svc-abandon",
+                backend=_Slow.name,
+                kernels=(KernelSpec("first_diff", n=96),),
+                pes=(1, 2, 4, 8, 16, 32),
+                page_sizes=(16, 32),
+                cache_elems=(0, 64),
+                cache_policies=("lru", "fifo"),
+                reduction_strategies=("host", "subrange"),
+            )
+            assert spec.n_points == 96 < DEFAULT_QUEUE_SIZE
+            store = TraceStore(tmp_path / "store")
+            records = iter(
+                run_campaign(spec, store=store, service=service, stream=True)
+            )
+            next(records)
+            records.close()
+            assert store.active_leases() == 0
+            rerun = run_campaign(spec, store=store, service=service)
+            assert len(rerun) == spec.n_points
+            assert "shared[" not in rerun.executor
+            service.close()  # lets a job still running finish
+            rerun_jobs = sum(not r.cache_hit for r in rerun.records)
+            stats = service.stats()
+            assert stats["submitted_total"] == spec.n_points + rerun_jobs
+            assert stats["completed_total"] - rerun_jobs < spec.n_points // 2
+        finally:
+            del _REGISTRY[_Slow.name]
 
     @pytest.mark.parametrize(
         "caller", ["planning", "deferred", "fleet", "get_result", "get"]

@@ -20,7 +20,9 @@ import gc
 import json
 import multiprocessing as mp
 import os
-import socket
+import subprocess
+import sys
+import textwrap
 import time
 import weakref
 from pathlib import Path
@@ -40,7 +42,7 @@ from repro.engine import (
 
 
 #: The host name a lease document records.
-HOSTNAME = socket.gethostname() or "localhost"
+HOST = store_module.HOST
 
 
 def ctx() -> mp.context.BaseContext:
@@ -159,7 +161,7 @@ class TestLeaseFiles:
         dead_pid = child.pid
         write_lease(
             store, "0a" * 10, pid=dead_pid,
-            host=__import__("socket").gethostname() or "localhost",
+            host=HOST,
             expires_in=600.0,
         )
         # Unexpired, but the holder is provably dead on this host.
@@ -362,7 +364,7 @@ class TestHolderFile:
         (holder,) = (store.lease_dir / "hb").glob("*.json")
         assert json.loads(holder.read_text()) == {
             "pid": os.getpid(),
-            "host": HOSTNAME,
+            "host": HOST,
         }
         for path in store.lease_dir.glob("*-*.json"):
             assert os.path.samefile(path, holder)
@@ -382,7 +384,7 @@ class TestHolderFile:
         store = TraceStore(tmp_path)
         assert store.acquire_lease("b1" * 10)  # this process holds one
         write_lease(
-            store, "b2" * 10, pid=os.getpid(), host=HOSTNAME,
+            store, "b2" * 10, pid=os.getpid(), host=HOST,
             expires_in=-3600.0,
         )
         assert store.lease_holder("b2" * 10) is None
@@ -426,6 +428,80 @@ class TestHolderFile:
             obs.unsubscribe(events.append)
         expired = [e["ref"] for e in events if e["event"] == "lease.expire"]
         assert expired == ["c1" * 10]
+
+    def test_a_finalised_store_removes_its_holder(self, tmp_path):
+        """The holder outlives its leases while the store lives (the
+        next lease reuses it) and goes when the store is collected."""
+        store = TraceStore(tmp_path)
+        assert store.acquire_lease("e1" * 10)
+        store.release_lease("e1" * 10)
+        (holder,) = (store.lease_dir / "hb").glob("*.json")
+        heartbeat = store._lease_thread
+        if heartbeat is not None:
+            heartbeat.join(timeout=5.0)
+        assert holder.exists()
+        collected = weakref.ref(store)
+        del store
+        gc.collect()
+        assert collected() is None
+        assert not holder.exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_process_that_exits_normally_removes_its_holder(
+        self, tmp_path
+    ):
+        """A process that runs a campaign and exits 0 leaves no holder
+        file behind.  A forked child that exits normally runs the exit
+        hooks it inherited, but leaves its parent's holder alone.  A
+        lease still held at exit keeps the holder's inode, and a rival
+        steals it as it would after a crash."""
+        script = textwrap.dedent(
+            """
+            import os, sys
+            from pathlib import Path
+            from repro.engine import (
+                CampaignSpec, KernelSpec, TraceStore, run_campaign,
+            )
+            root = Path(sys.argv[1])
+            store = TraceStore(root)
+            spec = CampaignSpec(
+                name="one-point",
+                kernels=(KernelSpec("first_diff", n=64),),
+                pes=(2,), page_sizes=(16,), cache_elems=(0,),
+            )
+            run_campaign(spec, store=store, parallel=False)
+            heartbeat = store._lease_thread
+            if heartbeat is not None:
+                heartbeat.join()
+            child = os.fork()
+            if child == 0:
+                sys.exit(0)
+            os.waitpid(child, 0)
+            print(len(list((root / "leases" / "hb").glob("*.json"))))
+            assert store.acquire_lease("f1" * 10)
+            """
+        )
+        env = dict(os.environ)
+        src = str(Path(store_module.__file__).parents[2])
+        env["PYTHONPATH"] = src + (
+            os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", script, str(tmp_path)],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == ["1"]  # the child's exit spared it
+        assert not list((tmp_path / "leases" / "hb").iterdir())
+        (lease,) = (tmp_path / "leases").glob("*-*.json")
+        assert lease.name == f"r-{'f1' * 10}.json"
+        rival = TraceStore(tmp_path)
+        assert rival.lease_holder("f1" * 10) is None  # its pid is dead
+        assert rival.acquire_lease("f1" * 10)
+        rival.release_lease("f1" * 10)
 
     def test_without_hard_links_a_lease_is_its_own_renewed_file(
         self, tmp_path, monkeypatch

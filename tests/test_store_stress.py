@@ -4,8 +4,8 @@ Two in-flight *streamed* campaigns — driven from separate threads,
 each fanning its jobs out through the multiprocessing executor — hit
 one store at once.  The store's contracts under that load:
 
-* every artifact lands at its canonical shard path (atomic rename,
-  pool workers confined to their own access logs);
+* every artifact lands at its canonical shard path (atomic rename;
+  pool workers only evaluate and write nothing under the root);
 * no cache entry is ever double-built — overlapping points are claimed
   by whichever campaign gets there first and *replayed* by the other;
 * the 8-way-parallel → ``gc()`` → identical-re-run acceptance cycle:
