@@ -3,12 +3,13 @@
 An :class:`~repro.engine.EvalService` is an executor that campaigns
 are handed (``run_campaign(spec, service=svc)``), end to end:
 
-1. build one service (pool size, queue bound);
+1. build one service (its pool size);
 2. launch three campaigns *concurrently* through it — each would
    otherwise fork its own multiprocessing pool; through the service
-   they submit into one bounded queue served by one resident pool;
+   each submits its jobs, two per worker at a time, to one resident
+   pool;
 3. read the service's stats: one ``pool_launches_total``, every
-   submission completed, the queue's high-water mark;
+   submission completed;
 4. run an overlapping campaign — points another campaign already
    built replay from the store's result cache (claims and, across
    independent processes, lock-file leases guarantee every entry is
@@ -47,7 +48,7 @@ def main() -> None:
     store = TraceStore(tempfile.mkdtemp(prefix="repro-service-"))
 
     # 1. One resident pool, shared by every campaign handed to it.
-    service = EvalService(workers=2, queue_size=32)
+    service = EvalService(workers=2)
     try:
         # 2. Three campaigns at once — no per-campaign pool forks.
         results: dict[int, object] = {}

@@ -355,7 +355,7 @@ def backend_names() -> tuple[str, ...]:
 # ---------------------------------------------------------------------------
 
 _evaluations = 0
-#: dispatcher threads count pool evaluations while others evaluate
+#: pool outcomes are counted on other threads while others evaluate
 _evaluations_lock = threading.Lock()
 
 

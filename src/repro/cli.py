@@ -28,11 +28,10 @@ sharded on-disk store: ``stats`` reports entry/byte counts per kind
 plus hit/miss/eviction counters, ``gc`` evicts least-recently-used
 entries (results before traces) down to a byte budget.  The ``serve``
 subcommand runs several campaigns *concurrently* over one evaluation
-service: a single resident worker pool with a bounded job queue
-executes every campaign — instead of one forked pool each — each on
-the backend its spec declares, and a stats table shows what the
-sharing did (jobs submitted and completed, pool launches, queue
-high-water).
+service: a single resident worker pool executes every campaign —
+instead of one forked pool each — each on the backend its spec
+declares, and a stats table shows what the sharing did (jobs submitted
+and completed, pool launches).
 """
 
 from __future__ import annotations
@@ -368,7 +367,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     specs = [CampaignSpec.load(path) for path in args.campaign]
     results: dict[int, object] = {}
     errors: list[tuple[str, BaseException]] = []
-    service = EvalService(workers=args.workers, queue_size=args.queue_size)
+    service = EvalService(workers=args.workers)
 
     def drive(slot: int, spec: CampaignSpec) -> None:
         try:
@@ -562,7 +561,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 def _cmd_obs(args: argparse.Namespace) -> int:
     """Inspect the observability event log: tail, summary, merge.
 
-    Every subcommand folds the per-process ``<stem>-<pid>.jsonl``
+    Every subcommand folds the per-process ``<stem>-<host>-<pid>.jsonl``
     files into the merged ``<stem>.jsonl`` first, so the view is
     always current even while campaigns are running.
     """
@@ -878,12 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="resident pool size (default: one per core; 0 = inline)",
-    )
-    serve.add_argument(
-        "--queue-size",
-        type=int,
-        default=128,
-        help="bound on the service's admission queue",
     )
     serve.add_argument(
         "--no-cache",

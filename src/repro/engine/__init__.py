@@ -23,11 +23,10 @@ paper's trace-once / sweep-many structure at scale:
   streaming (:class:`~repro.engine.executor.CampaignStream`) for
   progress on long sweeps;
 * :mod:`~repro.engine.service` — :class:`~repro.engine.service.EvalService`,
-  one resident worker pool with a bounded, round-robin job queue:
-  every campaign handed the same service
-  (``run_campaign(spec, service=svc)``) submits its grid there instead
-  of forking a pool of its own, and each job still runs on the backend
-  its spec declares;
+  one resident worker pool: every campaign handed the same service
+  (``run_campaign(spec, service=svc)``) submits its jobs there, two
+  per worker at a time, instead of forking a pool of its own, and
+  each job still runs on the backend its spec declares;
 * :mod:`~repro.engine.results` — backend-tagged typed records with
   bit-exact comparison and JSON export.
 

@@ -442,7 +442,7 @@ class CampaignStream:
                 yield record
         finally:
             # Stop the runner: the worker pool, or this campaign's
-            # queued service jobs.
+            # service jobs still queued in the shared pool.
             runner_iter.close()
             # Wake any peer waiting on a point this stream never
             # delivered (abandoned mid-iteration or errored).

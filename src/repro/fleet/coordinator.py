@@ -8,11 +8,11 @@ threads never see it half-updated.
 Scheduling rules:
 
 * **round-robin fairness** — :meth:`FleetCoordinator.next_job` serves
-  campaigns with pending work alternately, the same rotation the
-  in-process :class:`~repro.engine.service.EvalService` queue uses
-  (its requeue and admission rules differ, so the two stay separate
-  classes): a 10⁵-point grid admitted first cannot starve a later
-  one-kernel campaign behind its whole backlog;
+  campaigns with pending work alternately (the program's only
+  rotation: the in-process :class:`~repro.engine.service.EvalService`
+  needs none, since each campaign keeps just a small window of jobs
+  in its arrival-ordered pool): a 10⁵-point grid admitted first
+  cannot starve a later one-kernel campaign behind its whole backlog;
 * **worker leases** — a handed-out job is charged to its worker
   connection; :meth:`worker_lost` requeues everything a vanished
   worker still owed, at the *front* of the campaign (recovered points

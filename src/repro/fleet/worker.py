@@ -39,6 +39,7 @@ import time
 from typing import Any
 
 from .. import obs
+from .._files import write_once
 from ..backends import evaluate_scenario
 from ..engine import (
     CampaignSpec,
@@ -222,42 +223,62 @@ def run_spool_worker(
     """Evaluate every campaign spec spooled under the store root.
 
     Specs are ``<spool>/<anything>.json``; a finished campaign gains a
-    ``<same-stem>.done`` marker.  Multiple spool workers over one root
+    ``<same-stem>.done`` marker, and a spec that fails to load or to
+    evaluate gains a ``<same-stem>.error`` marker holding the error,
+    so it cannot stop the specs after it.  A spec with either marker
+    is skipped.  Multiple spool workers over one root
     cooperate point by point through the store's claims: a first pass
     skips every point whose result lease a live peer holds, and a
     second pass settles those (mostly cache hits by then), so workers
     split a campaign instead of queueing behind one another.  The
     marker is written by whichever worker settles the campaign's last
     point it can see, and writing it twice is harmless.  ``once=True``
-    processes the current backlog and returns (the CI-friendly mode);
-    otherwise the worker polls every second forever.
+    processes the current backlog and returns 1 if a spec failed in
+    that pass, else 0 (the CI-friendly mode); otherwise the worker
+    polls every second forever.
     """
     store = store if store is not None else default_store()
     spool = spool_dir(store)
     spool.mkdir(parents=True, exist_ok=True)
     while True:
-        handled = 0
+        handled = failed = 0
         for path in sorted(spool.glob("*.json")):
-            marker = path.with_suffix(".done")
-            if marker.exists():
+            if any(path.with_suffix(s).exists() for s in (".done", ".error")):
                 continue
-            spec = CampaignSpec.load(path)
-            obs.emit(
-                "fleet.spool_campaign",
-                campaign=spec.digest[:8],
-                points=spec.n_points,
-            )
-            held = []
-            for index, (kernel, scenario) in enumerate(_points_of(spec)):
-                if store.lease_holder(_result_key(kernel, scenario).ref):
-                    held.append(index)
-                else:
-                    evaluate_point(spec, index, store=store)
-            for index in held:
-                evaluate_point(spec, index, store=store)
+            try:
+                spec = CampaignSpec.load(path)
+                _settle_spooled(spec, store)
+            except Exception as exc:  # noqa: BLE001 - kept in the marker
+                error = f"{type(exc).__name__}: {exc}\n"
+                write_once(
+                    path.with_suffix(".error"),
+                    lambda fh: fh.write(error.encode()),
+                )
+                failed += 1
+                continue
             handled += spec.n_points
-            marker.write_text(spec.digest + "\n")
+            write_once(
+                path.with_suffix(".done"),
+                lambda fh: fh.write(f"{spec.digest}\n".encode()),
+            )
         if once:
-            return 0
+            return 1 if failed else 0
         if not handled:
             time.sleep(_SPOOL_POLL_S)
+
+
+def _settle_spooled(spec: CampaignSpec, store: TraceStore) -> None:
+    """Settle every point of a spooled campaign, peers' leases last."""
+    obs.emit(
+        "fleet.spool_campaign",
+        campaign=spec.digest[:8],
+        points=spec.n_points,
+    )
+    held = []
+    for index, (kernel, scenario) in enumerate(_points_of(spec)):
+        if store.lease_holder(_result_key(kernel, scenario).ref):
+            held.append(index)
+        else:
+            evaluate_point(spec, index, store=store)
+    for index in held:
+        evaluate_point(spec, index, store=store)

@@ -111,9 +111,10 @@ class _Instant:
 
 
 def test_concurrent_counting_loses_no_evaluation(hydro_trace):
-    """Service dispatcher threads count pool evaluations while other
-    threads evaluate: with thread switches forced every microsecond,
-    every count lands."""
+    """Pool outcomes are counted on some threads (the fork pool's
+    result loop, the service's pool callbacks) while other threads
+    evaluate: with thread switches forced every microsecond, every
+    count lands."""
     register_backend(_Instant())
     scenario = Scenario(config=config(), backend=_Instant.name)
     per_thread, switch = 5_000, sys.getswitchinterval()

@@ -546,6 +546,31 @@ class TestEvaluatePoint:
         assert run_spool_worker(store=store, once=True) == 0
         assert store.n_results() == spec.n_points
 
+    def test_a_bad_spool_spec_does_not_stop_the_next(self, tmp_path):
+        """A spec that cannot be loaded gets an ``.error`` marker holding
+        its error; the worker goes on to the next spec, and a pass in
+        which a spec failed exits 1."""
+        store = TraceStore(tmp_path / "store")
+        spec = small_spec()
+        spool = spool_dir(store)
+        spool.mkdir(parents=True)
+        (spool / "a.json").write_text(
+            json.dumps({"name": "bad", "kernels": ["no_such_kernel"]})
+        )
+        spec.save(spool / "b.json")
+        assert run_spool_worker(store=store, once=True) == 1
+        assert "unknown kernel 'no_such_kernel'" in (
+            spool / "a.error"
+        ).read_text()
+        assert not (spool / "a.done").exists()
+        assert (spool / "b.done").read_text().strip() == spec.digest
+        assert store.n_results() == spec.n_points
+        # Either marker settles a spec: a second pass has nothing to do.
+        assert run_spool_worker(store=store, once=True) == 0
+        assert sorted(path.name for path in spool.iterdir()) == [
+            "a.error", "a.json", "b.done", "b.json",
+        ]
+
     def test_spool_workers_share_a_campaign(self, tmp_path, monkeypatch):
         """Two spool workers on one root split a campaign: each passes
         over the points the other holds a lease on instead of queueing
@@ -640,6 +665,41 @@ def _terminate(*procs: subprocess.Popen) -> None:
         except subprocess.TimeoutExpired:
             proc.kill()
             proc.wait(timeout=10)
+
+
+def test_sigterm_ends_a_worker_as_an_exit_does(tmp_path):
+    """``kill`` stops a fleet process through its exit hooks: its
+    store's lease holder file is gone, and the exit status is the
+    shell's 128 + SIGTERM, with no traceback."""
+    store_root = tmp_path / "store"
+    spool = spool_dir(TraceStore(store_root))
+    spool.mkdir(parents=True)
+    small_spec().save(spool / "job.json")
+    worker = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "worker",
+            "--store-root", str(store_root), "--watch",
+        ],
+        env=_repro_env(store_root, tmp_path / "ev"),
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (spool / "job.done").exists():
+            assert worker.poll() is None, worker.stderr.read()
+            assert time.monotonic() < deadline, "the spec was never settled"
+            time.sleep(0.05)
+        worker.send_signal(signal.SIGTERM)
+        _out, err = worker.communicate(timeout=30)
+    finally:
+        _terminate(worker)
+    assert worker.returncode == 128 + signal.SIGTERM, err
+    assert "Traceback" not in err
+    holders = store_root / "leases" / "hb"
+    assert holders.is_dir()
+    assert list(holders.iterdir()) == []
 
 
 @pytest.mark.parametrize("kill_worker", [False, True], ids=["clean", "kill"])

@@ -12,8 +12,8 @@ handed (``run_campaign(spec, service=svc)``), never a backend:
   process evaluation counter and the store's entry counts — the
   store's claims are the only deduplication, so with the cache off
   every campaign evaluates each of its own points;
-* the admission queue is bounded — a grid larger than the queue still
-  completes, it just trickles in;
+* a campaign keeps only a window of jobs in the shared pool, so a
+  campaign that starts behind a large one is not starved;
 * errors raised inside resident workers survive the trip back with
   their type and message intact, and a point that fails mid-stream
   leaves no claim and no result behind.
@@ -21,7 +21,7 @@ handed (``run_campaign(spec, service=svc)``), never a backend:
 
 from __future__ import annotations
 
-import sys
+import concurrent.futures
 import threading
 import time
 import warnings
@@ -51,7 +51,6 @@ from repro.engine import (
     run_campaign,
     set_default_store,
 )
-from repro.engine.service import DEFAULT_QUEUE_SIZE, _FairQueue
 
 
 @pytest.fixture()
@@ -81,6 +80,14 @@ def small_spec(
         cache_elems=(0, 64),
         **axes,
     )
+
+
+#: 8 PE counts x 2 caches x 2 policies x 2 reductions: 64 points.
+GRID_64 = dict(
+    pes=(1, 2, 4, 8, 16, 32, 64, 96),
+    cache_policies=("lru", "fifo"),
+    reduction_strategies=("host", "subrange"),
+)
 
 
 def result_key(kernel: KernelSpec, scenario: Scenario) -> ResultKey:
@@ -259,35 +266,86 @@ class TestSharedPool:
     def test_pool_parameters_are_validated(self):
         with pytest.raises(ValueError, match="workers"):
             EvalService(workers=-1)
-        with pytest.raises(ValueError, match="queue_size"):
-            EvalService(queue_size=0)
 
     def test_unsupported_scenario_error_crosses_the_service(
         self, hydro_trace, make_service
     ):
         """A scenario the timed machine refuses (a mode smuggled past
         ``Scenario``'s own check) raises inside a pool worker, and the
-        submitter gets that exception back with its type and message."""
+        campaign gets that exception back with its type and message."""
         service = make_service(workers=1)
         scenario = Scenario(
             config=MachineConfig(n_pes=2, page_size=32), backend="timed"
         )
         object.__setattr__(scenario, "mode", "warp")
+        jobs = [(0, "hydro", "", scenario)]
         with pytest.raises(ValueError, match="unknown mode 'warp'"):
-            service.submit(hydro_trace, scenario).result(timeout=120)
+            list(service.run_jobs(jobs, {"hydro": hydro_trace}))
 
-    def test_bounded_queue_still_completes_large_grids(
-        self, tmp_path, make_service
+    def test_unavailable_trace_path_falls_back_to_the_trace(
+        self, hydro_trace, make_service, tmp_path
     ):
-        service = make_service(workers=0, queue_size=2)
-        spec = small_spec("svc-q", pes=(1, 2, 4, 8))
-        result = run_campaign(
-            spec, store=TraceStore(tmp_path / "store"), service=service
+        """A job whose shipped trace path cannot be loaded (evicted
+        after planning) is submitted once more with the trace itself."""
+        service = make_service(workers=0)
+        scenario = Scenario(
+            config=MachineConfig(n_pes=4, page_size=32), backend="untimed"
         )
-        assert len(result) == spec.n_points
+        outcomes = list(
+            service.run_jobs(
+                [(0, "hydro", "", scenario)],
+                {"hydro": hydro_trace},
+                {"hydro": str(tmp_path / "evicted.npz")},
+            )
+        )
+        assert [index for index, _outcome, _wall in outcomes] == [0]
+        expected = evaluate_scenario(hydro_trace, scenario)
+        assert np.array_equal(
+            outcomes[0][1].stats.counts, expected.stats.counts
+        )
         stats = service.stats()
-        assert stats["completed_total"] == spec.n_points
-        assert stats["queue_high_water"] <= 2
+        assert (stats["submitted_total"], stats["failed_total"]) == (2, 1)
+
+    def test_a_later_campaign_is_not_starved(self, tmp_path, make_service):
+        """The pool starts jobs in arrival order and a campaign keeps
+        only a window of them there, so a campaign started behind a
+        64-point one waits for that window, not for the whole grid."""
+        service = make_service(workers=1)
+        store = TraceStore(tmp_path / "store")
+        big = small_spec("svc-big", **GRID_64)
+        late = small_spec("svc-late", pes=(3,))
+        assert big.n_points == 64 and late.n_points == 2
+        assert not unique_points(big) & unique_points(late)
+        arrived: list = []
+        two_done = threading.Event()
+        errors: list[BaseException] = []
+
+        def stream_big() -> None:
+            try:
+                for record in run_campaign(
+                    big, store=store, service=service, stream=True
+                ):
+                    arrived.append(record)
+                    if len(arrived) == 2:
+                        two_done.set()
+            except BaseException as exc:  # noqa: BLE001 - surfaced below
+                errors.append(exc)
+            finally:
+                two_done.set()
+
+        thread = threading.Thread(target=stream_big, daemon=True)
+        thread.start()
+        try:
+            assert two_done.wait(timeout=120)
+            result = run_campaign(late, store=store, service=service)
+            arrived_when_late_finished = len(arrived)
+        finally:
+            thread.join(timeout=300)
+        assert not thread.is_alive()
+        assert not errors
+        assert len(result) == late.n_points
+        assert len(arrived) == big.n_points
+        assert arrived_when_late_finished < big.n_points // 2
 
     def test_second_run_replays_from_cache(self, tmp_path, make_service):
         service = make_service(workers=0)
@@ -318,187 +376,157 @@ class TestSharedPool:
         assert service.stats()["completed_total"] == spec.n_points
 
     def test_service_repr_and_stats_shape(self, make_service):
-        service = make_service(workers=0, queue_size=7)
-        assert "EvalService" in repr(service)
+        service = make_service(workers=0)
+        assert repr(service) == "EvalService(workers=0, mode='inline')"
         stats = service.stats()
-        for field in (
-            "submitted_total", "completed_total", "failed_total",
-            "pool_launches_total", "queue_high_water", "workers",
-            "queue_size", "queue_campaigns", "mode",
-        ):
-            assert field in stats
+        assert sorted(stats) == [
+            "completed_total", "failed_total", "mode",
+            "pool_launches_total", "submitted_total", "workers",
+        ]
         assert stats["mode"] == "inline"
-        assert stats["queue_size"] == 7
 
     def test_close_with_inflight_backlog_terminates_promptly(
-        self, hydro_trace, make_service
+        self, tmp_path, make_service
     ):
-        """Shutdown with queued work must not hang the joins, leak a
-        dispatcher thread, relaunch a pool, or leave futures
-        unresolved."""
-        service = make_service(workers=1, queue_size=256)
-        futures = [
-            service.submit(
-                hydro_trace,
-                Scenario(
-                    config=MachineConfig(n_pes=pes, page_size=page),
-                    backend="untimed",
-                ),
-            )
-            for pes in (1, 2, 4, 8)
-            for page in (16, 32, 64, 128)
-        ]
-        launches_before = service.stats()["pool_launches_total"]
+        """Closing the service under a streaming campaign fails the
+        stream at once: no hang, no pool relaunched, no claim left."""
+        service = make_service(workers=1)
+        store = TraceStore(tmp_path / "store")
+        spec = small_spec("svc-close", **GRID_64)
+        first = threading.Event()
+        errors: list[BaseException] = []
+
+        def stream() -> None:
+            try:
+                for _record in run_campaign(
+                    spec, store=store, service=service, stream=True
+                ):
+                    first.set()
+            except BaseException as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+            finally:
+                first.set()
+
+        thread = threading.Thread(target=stream, daemon=True)
+        thread.start()
+        assert first.wait(timeout=120)
+        launches = service.stats()["pool_launches_total"]
         started = time.monotonic()
         service.close()
-        assert time.monotonic() - started < 8.0  # no join-timeout hang
-        assert not any(thread.is_alive() for thread in service._threads)
-        # The backlog was failed, not evaluated by a resurrected pool.
-        stats = service.stats()
-        assert stats["pool_launches_total"] == launches_before
-        for future in futures:
-            assert future.done()
-        failed = sum(future.exception() is not None for future in futures)
-        assert stats["completed_total"] + failed == len(futures)
+        thread.join(timeout=8.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 8.0
+        assert [str(exc) for exc in errors] == ["evaluation service closed"]
+        assert service.stats()["pool_launches_total"] == launches
+        assert store.active_leases() == 0
+
+    def test_close_wakes_a_campaign_waiting_on_a_queued_job(
+        self, hydro_trace, make_service, monkeypatch
+    ):
+        """``close()`` cancels the jobs still queued in the pool, and a
+        campaign waiting on one raises instead of waiting forever.  A
+        thread pool stands in for the process pool, so a gated backend
+        can hold its one worker while the campaign waits."""
+        monkeypatch.setattr(
+            concurrent.futures,
+            "ProcessPoolExecutor",
+            lambda max_workers, mp_context: (
+                concurrent.futures.ThreadPoolExecutor(max_workers)
+            ),
+        )
+        gate, entered = threading.Event(), threading.Event()
+        register_backend(_Gated(gate, entered))
+        try:
+            service = make_service(workers=1)
+            scenario = Scenario(
+                config=MachineConfig(n_pes=2, page_size=32),
+                backend=_Gated.name,
+            )
+            jobs = [(index, "hydro", "", scenario) for index in range(2)]
+            errors: list[BaseException] = []
+
+            def run() -> None:
+                try:
+                    list(service.run_jobs(jobs, {"hydro": hydro_trace}))
+                except BaseException as exc:  # noqa: BLE001 - asserted below
+                    errors.append(exc)
+
+            thread = threading.Thread(target=run, daemon=True)
+            thread.start()
+            assert entered.wait(timeout=60)  # job 0 holds the worker
+            closer = threading.Thread(target=service.close, daemon=True)
+            closer.start()
+            thread.join(timeout=8.0)  # close() still waits for job 0
+            assert not thread.is_alive()
+            assert [str(exc) for exc in errors] == [
+                "evaluation service closed"
+            ]
+            gate.set()
+            closer.join(timeout=60)
+            assert not closer.is_alive()
+        finally:
+            gate.set()
+            del _REGISTRY[_Gated.name]
 
     def test_closed_service_rejects_submissions(
-        self, hydro_trace, make_service
+        self, tmp_path, make_service
     ):
         service = make_service(workers=0)
         service.close()
+        store = TraceStore(tmp_path / "store")
         with pytest.raises(RuntimeError, match="closed"):
-            service.submit(
-                hydro_trace,
-                Scenario(
-                    config=MachineConfig(n_pes=2, page_size=32),
-                    backend="untimed",
-                ),
-            )
+            run_campaign(small_spec("svc-closed"), store=store, service=service)
+        assert store.active_leases() == 0
 
     def test_pool_worker_death_degrades_inline_and_recovers(
         self, hydro_trace, make_service
     ):
-        """Kill the resident pool's worker under a queued batch: every
-        future still resolves (inline fallback), the queue never
-        wedges, and later submissions keep completing."""
+        """Kill the resident pool's worker: the next jobs all complete
+        inline, with one warning, and the service keeps serving."""
         service = make_service(workers=1)
+        traces = {"hydro": hydro_trace}
 
-        def scenario(pes: int) -> Scenario:
-            return Scenario(
-                config=MachineConfig(n_pes=pes, page_size=32),
-                backend="untimed",
-            )
+        def jobs(*pes: int) -> list:
+            return [
+                (
+                    index,
+                    "hydro",
+                    "",
+                    Scenario(
+                        config=MachineConfig(n_pes=n_pes, page_size=32),
+                        backend="untimed",
+                    ),
+                )
+                for index, n_pes in enumerate(pes)
+            ]
 
-        # First job launches the pool; its worker pids become visible.
-        service.submit(hydro_trace, scenario(1)).result(timeout=120)
+        # The first job launches the pool; its worker pids become visible.
+        assert len(list(service.run_jobs(jobs(1), traces))) == 1
         workers = list(service._pool._processes.values())
         assert workers
+        for proc in workers:
+            proc.kill()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            futures = [
-                service.submit(hydro_trace, scenario(pes))
-                for pes in (2, 4, 8)
-            ]
-            for proc in workers:
-                proc.kill()
-            outcomes = [f.result(timeout=120) for f in futures]
-            # The queue is not wedged: post-mortem submissions work.
-            late = service.submit(hydro_trace, scenario(16)).result(
-                timeout=120
+            outcomes = {
+                index: outcome
+                for index, outcome, _wall in service.run_jobs(
+                    jobs(2, 4, 8), traces
+                )
+            }
+        assert sorted(outcomes) == [0, 1, 2]
+        for index, job in enumerate(jobs(2, 4, 8)):
+            expected = evaluate_scenario(hydro_trace, job[3])
+            assert np.array_equal(
+                outcomes[index].stats.counts, expected.stats.counts
             )
-        assert all(o.backend == "untimed" for o in outcomes)
-        assert late.backend == "untimed"
         assert service.mode == "inline"
-        assert any("pool broke" in str(w.message) for w in caught)
-        # No silent losses: every submitted job completed.
+        assert sum("pool broke" in str(w.message) for w in caught) == 1
+        # No silent losses: each job that a broken pool failed ran
+        # again inline, and every job completed.
         stats = service.stats()
-        assert stats["completed_total"] == stats["submitted_total"] == 5
-
-
-class TestFairQueue:
-    def test_round_robin_across_campaigns(self):
-        """A big backlog cannot starve a later arrival: buckets are
-        served alternately, FIFO within each campaign."""
-        queue = _FairQueue(16)
-        for i in range(4):
-            queue.put("big", f"big{i}")
-        for i in range(2):
-            queue.put("late", f"late{i}")
-        order = [queue.get() for _ in range(6)]
-        assert order == ["big0", "late0", "big1", "late1", "big2", "big3"]
-
-    def test_global_bound_blocks_and_frees(self):
-        queue = _FairQueue(2)
-        assert queue.put("a", 1) == 1
-        assert queue.put("b", 2) == 2
-        blocked = threading.Thread(target=queue.put, args=("a", 3))
-        blocked.start()
-        blocked.join(timeout=0.05)
-        assert blocked.is_alive()  # full: the third put waits
-        assert queue.get() == 1
-        blocked.join(timeout=5)
-        assert not blocked.is_alive()
-        assert [queue.get(), queue.get()] == [2, 3]
-
-    def test_close_wakes_a_blocked_put_and_returns_the_backlog(self):
-        queue = _FairQueue(2)
-        queue.put("a", 1)
-        queue.put("b", 2)
-        errors: list[BaseException] = []
-
-        def put_third() -> None:
-            try:
-                queue.put("a", 3)
-            except RuntimeError as exc:
-                errors.append(exc)
-
-        blocked = threading.Thread(target=put_third)
-        blocked.start()
-        blocked.join(timeout=0.05)
-        assert blocked.is_alive()
-        assert sorted(queue.close()) == [1, 2]
-        blocked.join(timeout=5)
-        assert not blocked.is_alive()
-        assert [str(exc) for exc in errors] == ["evaluation service is closed"]
-        assert queue.get() is None
-
-    def test_threaded_stress_delivers_every_item_once(self):
-        """More producers and consumers than cores on a tiny bound, with
-        a short switch interval: every item is delivered exactly once
-        (to a consumer or in the closing backlog), and the bound holds."""
-        queue = _FairQueue(3)
-        depths: list[int] = []
-        received: list[tuple[int, int]] = []
-
-        def produce(slot: int) -> None:
-            for i in range(150):
-                depths.append(queue.put(f"c{slot % 3}", (slot, i)))
-
-        def consume() -> None:
-            while (item := queue.get()) is not None:
-                received.append(item)
-
-        producers = [
-            threading.Thread(target=produce, args=(slot,)) for slot in range(6)
-        ]
-        consumers = [threading.Thread(target=consume) for _ in range(4)]
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for thread in consumers + producers:
-                thread.start()
-            for thread in producers:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-            backlog = queue.close()
-            for thread in consumers:
-                thread.join(timeout=60)
-                assert not thread.is_alive()
-        finally:
-            sys.setswitchinterval(interval)
-        expected = [(slot, i) for slot in range(6) for i in range(150)]
-        assert sorted(received + backlog) == expected
-        assert max(depths) <= 3
+        assert stats["completed_total"] == 4
+        assert stats["submitted_total"] == 4 + stats["failed_total"]
 
 
 class _FailsOnTwoPEs:
@@ -516,17 +544,21 @@ class _FailsOnTwoPEs:
         return replace(outcome, backend=self.name)
 
 
-class _Slow:
-    """Untimed physics, a few milliseconds late: the sleep lets the
-    submitting thread run while the dispatcher works."""
+class _Gated:
+    """Untimed physics that waits for ``gate`` once it has set
+    ``entered``: a job that holds its worker until the test lets go."""
 
-    name = "slow-untimed"
+    name = "gated-untimed"
     scenario_axes: tuple[str, ...] = ()
     result_schema = get_backend("untimed").result_schema
     table_metrics: tuple[str, ...] = ()
 
+    def __init__(self, gate: threading.Event, entered: threading.Event):
+        self._gate, self._entered = gate, entered
+
     def evaluate(self, trace, scenario):
-        time.sleep(0.005)
+        self._entered.set()
+        self._gate.wait(timeout=60)
         outcome = get_backend("untimed").evaluate(trace, scenario)
         return replace(outcome, backend=self.name)
 
@@ -580,41 +612,39 @@ class TestStoreCoordination:
         self, tmp_path, make_service
     ):
         """A stream closed after one record stops using the service at
-        once: the jobs it queued are cancelled, so they never run, even
-        while the service goes on to run a later campaign, and its
-        claims are abandoned, so that campaign computes every point
-        itself instead of deferring to the closed stream."""
-        register_backend(_Slow())
-        try:
-            service = make_service(workers=0)
-            spec = CampaignSpec(
-                name="svc-abandon",
-                backend=_Slow.name,
-                kernels=(KernelSpec("first_diff", n=96),),
-                pes=(1, 2, 4, 8, 16, 32),
-                page_sizes=(16, 32),
-                cache_elems=(0, 64),
-                cache_policies=("lru", "fifo"),
-                reduction_strategies=("host", "subrange"),
-            )
-            assert spec.n_points == 96 < DEFAULT_QUEUE_SIZE
-            store = TraceStore(tmp_path / "store")
-            records = iter(
-                run_campaign(spec, store=store, service=service, stream=True)
-            )
-            next(records)
-            records.close()
-            assert store.active_leases() == 0
-            rerun = run_campaign(spec, store=store, service=service)
-            assert len(rerun) == spec.n_points
-            assert "shared[" not in rerun.executor
-            service.close()  # lets a job still running finish
-            rerun_jobs = sum(not r.cache_hit for r in rerun.records)
-            stats = service.stats()
-            assert stats["submitted_total"] == spec.n_points + rerun_jobs
-            assert stats["completed_total"] - rerun_jobs < spec.n_points // 2
-        finally:
-            del _REGISTRY[_Slow.name]
+        once: it submitted only a window of its jobs, and the rest never
+        run, even while the service goes on to run a later campaign,
+        and its claims are abandoned, so that campaign computes every
+        point itself instead of deferring to the closed stream."""
+        service = make_service(workers=0)
+        spec = CampaignSpec(
+            name="svc-abandon",
+            backend="untimed",
+            kernels=(KernelSpec("first_diff", n=96),),
+            pes=(1, 2, 4, 8, 16, 32),
+            page_sizes=(16, 32),
+            cache_elems=(0, 64),
+            cache_policies=("lru", "fifo"),
+            reduction_strategies=("host", "subrange"),
+        )
+        assert spec.n_points == 96
+        store = TraceStore(tmp_path / "store")
+        records = iter(
+            run_campaign(spec, store=store, service=service, stream=True)
+        )
+        next(records)
+        records.close()
+        assert store.active_leases() == 0
+        abandoned = service.stats()["submitted_total"]
+        assert abandoned < spec.n_points // 2
+        rerun = run_campaign(spec, store=store, service=service)
+        assert len(rerun) == spec.n_points
+        assert "shared[" not in rerun.executor
+        service.close()
+        rerun_jobs = sum(not r.cache_hit for r in rerun.records)
+        stats = service.stats()
+        assert stats["submitted_total"] == abandoned + rerun_jobs
+        assert stats["completed_total"] == stats["submitted_total"]
 
     @pytest.mark.parametrize(
         "caller", ["planning", "deferred", "fleet", "get_result", "get"]
