@@ -864,7 +864,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-campaigns",
         type=int,
         default=None,
-        help="fleet mode: bound on concurrently admitted campaigns",
+        help="fleet mode: bound on concurrently open campaigns",
     )
     serve.add_argument(
         "--max-attempts",

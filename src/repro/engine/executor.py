@@ -452,8 +452,6 @@ class CampaignStream:
             # One batch per campaign: trace-hit counters, and one
             # access-time stamp per trace for the GC's LRU order.
             self._store.merge_touches(uses)
-            # Workers emitted telemetry into per-process JSONL files;
-            # fold them into the merged log now that the pool is closed.
             if obs.active():
                 obs.emit(
                     "campaign.done",
@@ -462,7 +460,6 @@ class CampaignStream:
                     delivered=self._done,
                     elapsed_s=time.perf_counter() - self._started,
                 )
-                obs.merge()
 
     def __iter__(self) -> Iterator[EvalRecord]:
         """Single-pass: every record is yielded exactly once."""
@@ -478,7 +475,6 @@ class CampaignStream:
             trace_meta=self.trace_meta,
             executor=self.executor,
             elapsed_s=time.perf_counter() - self._started,
-            store_stats=self._store.stats(),
         )
 
 

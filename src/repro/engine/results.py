@@ -17,7 +17,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from ..backends import EvalOutcome, Scenario, get_backend
 from .campaign import CampaignSpec, KernelSpec
@@ -42,8 +42,8 @@ class EvalRecord:
     #: wall seconds this record's evaluation took in *this* run
     #: (``None`` when it never ran here — served from the result cache)
     eval_wall_s: float | None = None
-    #: True when the outcome came from the result cache (memory, disk,
-    #: or a peer campaign's deferred point), not a fresh evaluation
+    #: True when the outcome came from the result cache (its file, or
+    #: a peer campaign's deferred point), not a fresh evaluation
     cache_hit: bool = False
 
     # -- convenient views ------------------------------------------------------
@@ -172,11 +172,6 @@ class CampaignResult:
     #: how the campaign ran ("serial", "parallel[N]", "+cache[H/N]", ...)
     executor: str = "serial"
     elapsed_s: float | None = None
-    #: snapshot of the store's layout/counter stats at completion
-    #: (:meth:`repro.engine.store.TraceStore.stats`) — sizes, shard
-    #: counts, hit/miss/eviction counters; ``None`` when the campaign
-    #: was assembled without a store
-    store_stats: dict | None = None
 
     def __len__(self) -> int:
         return len(self.records)
@@ -214,7 +209,7 @@ class CampaignResult:
 
     # -- export ----------------------------------------------------------------
     def to_dict(self) -> dict[str, object]:
-        out: dict[str, object] = {
+        return {
             "campaign": self.spec.to_dict(),
             "backend": self.spec.backend,
             "executor": self.executor,
@@ -222,9 +217,6 @@ class CampaignResult:
             "traces": self.trace_meta,
             "results": [record.to_dict() for record in self.records],
         }
-        if self.store_stats is not None:
-            out["store"] = self.store_stats
-        return out
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent)
@@ -301,19 +293,6 @@ class CampaignResult:
                 ]
             )
         return headers, rows
-
-    @staticmethod
-    def from_mapping(
-        spec: CampaignSpec,
-        results: Mapping[int, EvalOutcome],
-        **kwargs: object,
-    ) -> "CampaignResult":
-        """Assemble records from index→outcome, restoring spec order."""
-        records = [
-            EvalRecord(kernel=kernel, outcome=results[i], index=i)
-            for i, (kernel, _scenario) in enumerate(spec.points())
-        ]
-        return CampaignResult(spec=spec, records=records, **kwargs)  # type: ignore[arg-type]
 
     @staticmethod
     def from_records(

@@ -435,7 +435,7 @@ def _load_outcome(path: Path) -> EvalOutcome:
 class StoreCounters:
     """Observability: where each ``get`` was satisfied, plus GC work."""
 
-    memory_hits: int = 0
+    memory_hits: int = 0  # traces only: results live on disk
     disk_hits: int = 0
     misses: int = 0
     evictions: int = 0
@@ -613,14 +613,16 @@ _ClaimFn = Callable[[], "_Waiter | None"]
 
 
 class TraceStore:
-    """Sharded two-level (memory, disk) cache of traces and results.
+    """Sharded on-disk cache of traces and results.
 
-    ``get`` resolves a :class:`TraceKey` against the in-process map
-    first, then the ``.npz`` file in its shard directory, and only then
-    invokes the builder — persisting its result for every later
-    process.  Unreadable or stale-format files are treated as misses
-    and rebuilt in place, never propagated.  See the module docstring
-    for the on-disk layout, stat-based recency and the GC policy.
+    ``get`` resolves a :class:`TraceKey` against the in-process trace
+    map first, then the ``.npz`` file in its shard directory, and only
+    then invokes the builder — persisting its result for every later
+    process.  Results live only on disk: a lookup opens its file, so a
+    long-lived store holds no outcome it has put or read.  Unreadable
+    or stale-format files are treated as misses and rebuilt in place,
+    never propagated.  See the module docstring for the on-disk
+    layout, stat-based recency and the GC policy.
 
     ``max_bytes`` bounds the store's disk use: when set, a put that
     takes the store over budget triggers an LRU garbage-collection
@@ -652,7 +654,6 @@ class TraceStore:
         #: where each result lookup was satisfied (mirrors ``counters``)
         self.result_counters = StoreCounters()
         self._memory: dict[TraceKey, Trace] = {}
-        self._result_memory: dict[ResultKey, EvalOutcome] = {}
         self._lock = threading.RLock()
         #: running on-disk byte total for auto-GC; ``None`` until a
         #: budgeted put seeds it with one scan
@@ -795,9 +796,11 @@ class TraceStore:
 
     def _holder_here(self) -> _Holder | None:
         """This store's holder if this process made it (locked): a
-        forked child inherits neither the holder nor its leases."""
+        forked child inherits neither the holder, nor its leases, nor
+        its flights, whose events no thread of the child would set."""
         if self._holder is not None and self._holder.pid != os.getpid():
             self._holder, self._held_leases = None, {}
+            self._inflight = {}
         return self._holder
 
     def _new_holder(self) -> None:
@@ -1039,6 +1042,7 @@ class TraceStore:
         """
         token = f"{kind[0]}:{ref}"
         with self._lock:
+            self._holder_here()
             event = self._inflight.get(token)
             if event is not None:
                 return event
@@ -1247,22 +1251,13 @@ class TraceStore:
     def lookup_result(
         self, key: ResultKey, *, count: bool = True
     ) -> EvalOutcome | None:
-        """Memory → disk result lookup; counts the hit/miss either way.
+        """Read a result from its file; counts the hit or miss.
 
         ``count=False`` is the uncounted *peek* the claim protocol uses
         to close the lookup→claim race — a re-check, not a new lookup,
         so it must not distort the hit/miss telemetry.
         """
         path = self.result_path_for(key)
-        with self._lock:
-            outcome = self._result_memory.get(key)
-            if outcome is not None and count:
-                self.result_counters.memory_hits += 1
-        if outcome is not None:
-            _stamp(path)
-            if count:
-                obs.emit("cache.hit", ref=key.ref, tier="memory")
-            return outcome
         with self.reading(key.ref):
             try:
                 outcome = _load_outcome(path)
@@ -1270,18 +1265,17 @@ class TraceStore:
                 outcome = None  # absent, vanished, torn or stale-format
         if outcome is not None:
             _stamp(path)
+        if not count:
+            return outcome
         with self._lock:
-            if outcome is not None:
-                if count:
-                    self.result_counters.disk_hits += 1
-                self._result_memory[key] = outcome
-            elif count:
+            if outcome is None:
                 self.result_counters.misses += 1
-        if count:
-            if outcome is not None:
-                obs.emit("cache.hit", ref=key.ref, tier="disk")
             else:
-                obs.emit("cache.miss", ref=key.ref)
+                self.result_counters.disk_hits += 1
+        if outcome is None:
+            obs.emit("cache.miss", ref=key.ref)
+        else:
+            obs.emit("cache.hit", ref=key.ref, tier="disk")
         return outcome
 
     def claim_result(self, key: ResultKey) -> _Waiter | None:
@@ -1295,8 +1289,6 @@ class TraceStore:
         self._release("result", key.ref)
 
     def put_result(self, key: ResultKey, outcome: EvalOutcome) -> Path:
-        with self._lock:
-            self._result_memory[key] = outcome
         path = _save_outcome(self.result_path_for(key), outcome)
         with self._lock:
             self._written(path)
@@ -1323,7 +1315,7 @@ class TraceStore:
         *,
         waiter: _Waiter | None = None,
     ) -> EvalOutcome:
-        """Memory → disk → ``compute()`` (which is then persisted).
+        """Disk → ``compute()`` (which is then persisted).
 
         The blocking claim protocol, then compute and put: callers for
         one key — threads or processes on the root — compute it once
@@ -1401,7 +1393,6 @@ class TraceStore:
                         report.pinned_skipped += 1
                         continue
                     entry.path.unlink(missing_ok=True)
-                    self._evict_memory(entry.ref, entry.kind)
                     total -= entry.bytes
                     report.freed_bytes += entry.bytes
                     report.evicted.append((entry.kind, entry.ref, entry.bytes))
@@ -1409,6 +1400,9 @@ class TraceStore:
                         self.result_counters.evictions += 1
                     else:
                         self.counters.evictions += 1
+                        for key in list(self._memory):
+                            if key.ref == entry.ref:
+                                del self._memory[key]
                 report.total_bytes = total
             self._bytes = total
         if report.evicted:
@@ -1422,24 +1416,15 @@ class TraceStore:
             )
         return report
 
-    def _evict_memory(self, ref: str, kind: str) -> None:
-        """Drop the in-memory copies of an evicted entry (locked)."""
-        if kind == "trace":
-            for key in [k for k in self._memory if k.ref == ref]:
-                del self._memory[key]
-        else:
-            for key in [k for k in self._result_memory if k.ref == ref]:
-                del self._result_memory[key]
-
     # -- observability ---------------------------------------------------------
     def stats_registry(self) -> "obs.MetricsRegistry":
         """Layout, sizes and counters as one metrics registry.
 
         This is the single emission path behind ``repro store stats``
-        (``--json`` and ``--prometheus``) and
-        ``CampaignResult.store_stats``: gauges for layout/sizes,
+        (``--json`` and ``--prometheus``): gauges for layout/sizes,
         ``_total``-suffixed counters for the monotonic hit/miss/
-        eviction counts.
+        eviction counts.  It walks the whole shard tree and judges
+        every lease, so it runs only when asked.
         """
         # The shard walk and the lease scan are pure file I/O, done
         # without the store lock so they never stall concurrent
@@ -1487,10 +1472,9 @@ class TraceStore:
     def clear_memory(self) -> None:
         with self._lock:
             self._memory.clear()
-            self._result_memory.clear()
 
     def clear(self) -> None:
-        """Drop the memory maps and delete every on-disk entry.
+        """Drop the trace memory and delete every on-disk entry.
 
         Leases and holder files go too; temps go as in :meth:`gc`, so a
         live writer's rename still lands.
@@ -1509,11 +1493,7 @@ class TraceStore:
                 path.unlink(missing_ok=True)
 
     def __repr__(self) -> str:
-        return (
-            f"TraceStore({str(self.root)!r}, entries={len(self)}, "
-            f"results={self.n_results()}, "
-            f"max_bytes={self.max_bytes})"
-        )
+        return f"TraceStore({str(self.root)!r}, max_bytes={self.max_bytes})"
 
 
 # ---------------------------------------------------------------------------
@@ -1537,7 +1517,7 @@ def set_default_store(store: TraceStore | None) -> None:
 def default_store() -> TraceStore:
     """The process-wide store: ``$REPRO_TRACE_STORE`` or ``~/.cache``.
 
-    Instances are memoised per resolved root so the in-memory layer
+    Instances are memoised per resolved root so the in-memory traces
     survives repeated calls while env-var changes take effect.
     ``$REPRO_STORE_MAX_BYTES`` (bytes) sets the disk budget the
     store's GC enforces.

@@ -21,8 +21,10 @@ Scheduling rules:
   retrying and is recorded as a structured failure on its campaign
   (state ``failed``), so one poisoned point cannot wedge the queue;
 * **admission control** — ``max_campaigns`` bounds concurrently open
-  campaigns; re-submitting a known digest is idempotent (re-acked,
-  never duplicated).
+  campaigns: one with pending or running work.  A finished campaign
+  frees its slot but stays known, so ``status`` and ``wait`` still
+  answer for it; re-submitting a known digest is idempotent
+  (re-acked, never duplicated).
 """
 
 from __future__ import annotations
@@ -105,10 +107,9 @@ class FleetCoordinator:
 
         Returns ``{"campaign", "points", "known"}`` — ``known`` is
         True when this digest was already admitted (the spec is not
-        enqueued twice).  Raises :class:`SaturatedError` past the
-        ``max_campaigns`` bound; *finished* campaigns still count
-        until :meth:`forget` drops them, so a server's memory of
-        completed work is bounded by explicit policy, not luck.
+        enqueued twice).  Raises :class:`SaturatedError` while
+        ``max_campaigns`` campaigns are open; a finished one no longer
+        counts.
         """
         digest = spec.digest
         existing = self._campaigns.get(digest)
@@ -118,27 +119,20 @@ class FleetCoordinator:
                 "points": existing.total,
                 "known": True,
             }
-        if (
-            self.max_campaigns is not None
-            and len(self._campaigns) >= self.max_campaigns
-        ):
-            raise SaturatedError(
-                f"{len(self._campaigns)} campaigns already admitted "
-                f"(max_campaigns={self.max_campaigns})"
+        if self.max_campaigns is not None:
+            open_ = sum(
+                1 for c in self._campaigns.values() if not c.finished
             )
+            if open_ >= self.max_campaigns:
+                raise SaturatedError(
+                    f"{open_} campaigns already open "
+                    f"(max_campaigns={self.max_campaigns})"
+                )
         campaign = _Campaign(spec=spec, digest=digest, total=spec.n_points)
         campaign.pending.extend(range(spec.n_points))
         self._campaigns[digest] = campaign
         self._rotation.append(digest)
         return {"campaign": digest, "points": campaign.total, "known": False}
-
-    def forget(self, digest: str) -> bool:
-        """Drop a *finished* campaign's state (frees an admission slot)."""
-        campaign = self._campaigns.get(digest)
-        if campaign is None or not campaign.finished:
-            return False
-        del self._campaigns[digest]
-        return True
 
     # -- the job loop ----------------------------------------------------------
     def next_job(self, worker_id: str) -> dict[str, Any] | None:

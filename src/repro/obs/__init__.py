@@ -3,13 +3,13 @@
 Three pieces, one import:
 
 * **event log** (:mod:`.events`): structured JSONL lifecycle events,
-  per-process files merged on campaign completion, enabled by
+  per-process files merged on demand (``repro obs``), enabled by
   ``REPRO_OBS=jsonl:<stem>``;
 * **spans** (:mod:`.spans`): nestable timed regions emitted into the
   same log, process-safe ids — including the replay engines' and the
   timed machine's ``phase.<name>`` spans;
-* **metrics** (:mod:`.metrics`): ``Counter``/``Gauge``/``Histogram``
-  registry unifying the store/cache/service/simulator stat schemas,
+* **metrics** (:mod:`.metrics`): ``Counter``/``Gauge`` registry
+  unifying the store/cache/service/simulator stat schemas,
   with snapshot-to-dict and Prometheus text export.
 
 Everything degrades to ~zero cost when nothing is listening.
@@ -31,7 +31,6 @@ from .events import (
 from .metrics import (
     Counter,
     Gauge,
-    Histogram,
     MetricsRegistry,
 )
 from .progress import ProgressLine
@@ -41,7 +40,6 @@ __all__ = [
     "Counter",
     "HOSTNAME",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
     "ProgressLine",
     "active",

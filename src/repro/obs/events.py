@@ -256,8 +256,8 @@ def merge(stem: str | os.PathLike | None = None) -> Path | None:
             seen.add(canon)
             events.append(record)
     events.sort(key=lambda e: e.get("ts", 0.0))
-    # Each write has its own temp, so concurrent merges (two campaign
-    # streams finishing together) never replace each other's temp
-    # file out from underneath — last atomic rename simply wins.
+    # Each write has its own temp, so concurrent merges (two
+    # ``repro obs`` commands on one stem) never replace each other's
+    # temp file out from underneath — last atomic rename simply wins.
     lines = "".join(json.dumps(e, default=str) + "\n" for e in events)
     return write_once(merged, lambda fh: fh.write(lines.encode("utf-8")))

@@ -4,8 +4,8 @@ The engine grew four disjoint stats surfaces —
 :class:`~repro.engine.store.StoreCounters`, the cache layer's
 ``CacheStats``, ``EvalService.stats()`` and the simulator's
 ``AccessStats`` — each with its own names and nesting.  This module
-gives them one registry of :class:`Counter` / :class:`Gauge` /
-:class:`Histogram` instruments with a stable ``snapshot()`` dict
+gives them one registry of :class:`Counter` / :class:`Gauge`
+instruments with a stable ``snapshot()`` dict
 (snake_case; monotonic counts suffixed ``_total``) and a
 Prometheus-style text export.
 """
@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "MetricsRegistry",
 ]
 
@@ -69,40 +68,10 @@ class Gauge:
 
 
 @dataclass
-class Histogram:
-    """Streaming summary of observations (count / sum / min / max)."""
-
-    name: str
-    help: str = ""
-    count: int = 0
-    total: float = 0.0
-    vmin: float | None = None
-    vmax: float | None = None
-
-    kind = "histogram"
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.vmin = value if self.vmin is None else min(self.vmin, value)
-        self.vmax = value if self.vmax is None else max(self.vmax, value)
-
-    def snapshot(self) -> dict[str, object]:
-        return {
-            f"{self.name}_count": self.count,
-            f"{self.name}_sum": self.total,
-            f"{self.name}_min": self.vmin,
-            f"{self.name}_max": self.vmax,
-        }
-
-
-@dataclass
 class MetricsRegistry:
     """Named instruments with one snapshot and one text export."""
 
-    _metrics: dict[str, Counter | Gauge | Histogram] = field(
-        default_factory=dict
-    )
+    _metrics: dict[str, Counter | Gauge] = field(default_factory=dict)
     #: non-numeric identity fields carried into the snapshot verbatim
     _labels: dict[str, object] = field(default_factory=dict)
 
@@ -122,9 +91,6 @@ class MetricsRegistry:
     def gauge(self, name: str, help: str = "") -> Gauge:
         return self._get(Gauge, name, help)
 
-    def histogram(self, name: str, help: str = "") -> Histogram:
-        return self._get(Histogram, name, help)
-
     def label(self, name: str, value: object) -> None:
         """Attach a non-numeric field (policy name, root path, ...)."""
         self._labels[name] = value
@@ -137,8 +103,8 @@ class MetricsRegistry:
         return out
 
     def to_prometheus(self) -> str:
-        """Prometheus text exposition (labels become ``# HELP`` noise-free
-        comments, non-numeric values are skipped)."""
+        """Prometheus text exposition (labels become plain ``#``
+        comments)."""
         lines: list[str] = []
         for name, value in self._labels.items():
             lines.append(f"# {name}: {value}")
@@ -147,7 +113,5 @@ class MetricsRegistry:
                 lines.append(f"# HELP {metric.name} {metric.help}")
             lines.append(f"# TYPE {metric.name} {metric.kind}")
             for key, value in metric.snapshot().items():
-                if value is None:
-                    continue
                 lines.append(f"{key} {value}")
         return "\n".join(lines) + "\n"

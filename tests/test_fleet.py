@@ -203,9 +203,14 @@ class TestCoordinator:
 
     def test_admission_control_saturates(self):
         fleet = FleetCoordinator(max_campaigns=1)
-        fleet.submit(small_spec(name="one"))
+        one = fleet.submit(small_spec(name="one"))["campaign"]
         with pytest.raises(SaturatedError, match="max_campaigns"):
             fleet.submit(small_spec(name="two"))
+        # A finished campaign frees its slot and stays known.
+        while (job := fleet.next_job("w")) is not None:
+            fleet.complete(job["job_id"], ok=True)
+        assert not fleet.submit(small_spec(name="two"))["known"]
+        assert fleet.status(one)["state"] == "done"
 
     def test_completion_drives_campaign_state(self):
         fleet = FleetCoordinator()
@@ -251,9 +256,10 @@ class TestCoordinator:
         status = fleet.status(digest)
         assert status["state"] == "failed"
         assert status["failures"] == {"0": "boom"}
-        # forget() frees the admission slot only once finished.
-        assert fleet.forget(digest)
-        assert fleet.status(digest) is None
+        # A finished campaign stays known: a re-submit is re-acked,
+        # and its failed point is not retried.
+        assert fleet.submit(small_spec())["known"]
+        assert fleet.next_job("w") is None
 
 
 # ---------------------------------------------------------------------------

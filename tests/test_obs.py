@@ -231,15 +231,6 @@ class TestMetrics:
         gauge.dec()
         assert gauge.snapshot() == {"depth": 8}
 
-    def test_histogram_summarises(self):
-        histogram = obs.Histogram("wall_s")
-        for value in (0.5, 0.1, 0.9):
-            histogram.observe(value)
-        snap = histogram.snapshot()
-        assert snap["wall_s_count"] == 3
-        assert snap["wall_s_sum"] == pytest.approx(1.5)
-        assert snap["wall_s_min"] == 0.1 and snap["wall_s_max"] == 0.9
-
     def test_registry_get_or_create_and_kind_clash(self):
         registry = obs.MetricsRegistry()
         assert registry.counter("hits") is registry.counter("hits")
@@ -251,23 +242,16 @@ class TestMetrics:
         registry.label("policy", "lru")
         registry.counter("hits", "cache hits").inc(3)
         registry.gauge("entries").set(11)
-        registry.histogram("wall_s").observe(0.25)
         snap = registry.snapshot()
         assert snap["policy"] == "lru"
         assert snap["hits_total"] == 3
         assert snap["entries"] == 11
-        assert snap["wall_s_count"] == 1
         text = registry.to_prometheus()
         assert "# policy: lru" in text
         assert "# HELP hits cache hits" in text
         assert "# TYPE hits counter" in text
         assert "hits_total 3" in text
         assert "entries 11" in text
-        # Histogram min/max are None-free in the export only when set;
-        # empty histograms skip those lines entirely.
-        empty = obs.MetricsRegistry()
-        empty.histogram("idle")
-        assert "idle_min" not in empty.to_prometheus()
 
 
 class TestProfile:
@@ -442,6 +426,24 @@ class TestCampaignIntegration:
         assert "eval_wall_s" in row and "cache_hit" in row
         headers, rows = first.rows(first.kernels()[0])
         assert "eval_s" in headers and "hit" in headers
+
+    def test_a_finished_campaign_leaves_the_log_unmerged(self, tmp_path):
+        """Merging reads every part file, so a campaign does not pay
+        for it; ``repro obs`` and :func:`obs.merge` merge on demand."""
+        from repro.engine import TraceStore, run_campaign
+
+        stem = tmp_path / "events"
+        obs.configure(f"jsonl:{stem}")
+        spec = self.small_spec("obs-unmerged")
+        run_campaign(spec, store=TraceStore(tmp_path / "store"), parallel=False)
+        assert list(tmp_path.glob("events-*.jsonl"))
+        assert not (tmp_path / "events.jsonl").exists()
+        done = [
+            event
+            for event in obs.read_events(obs.merge())
+            if event["event"] == "campaign.done"
+        ]
+        assert [event["campaign"] for event in done] == [spec.digest[:8]]
 
     def test_span_tree_covers_every_grid_point(self, tmp_path):
         """Acceptance: one campaign run through an evaluation service

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import os
+import weakref
 
 import pytest
 
@@ -165,13 +167,45 @@ class TestEvictionOrdering:
         assert fresh.result_counters.disk_hits == survivors
         assert fresh.result_counters.misses == report.evicted_results
 
-    def test_gc_counts_ride_in_campaign_store_stats(self, tmp_path):
-        store = TraceStore(tmp_path, max_bytes=10**12)
-        result = run_campaign(small_spec(), store=store, parallel=False)
-        stats = result.store_stats
-        assert stats is not None
-        assert stats["result_entries"] == small_spec().n_points
-        assert stats["result_misses_total"] == small_spec().n_points
+
+
+class TestCampaignPaysForItsOwnWork:
+    """A campaign's cost depends on its own points, not on the store's
+    history: the store keeps no outcome alive, and neither a finished
+    campaign nor ``repr`` walks the shard tree."""
+
+    def test_store_keeps_no_outcome_alive(self, tmp_path):
+        store = TraceStore(tmp_path)
+        for expected_hit in (False, True):  # put, then read back
+            result = run_campaign(small_spec(), store=store, parallel=False)
+            assert result.records[0].cache_hit is expected_hit
+            outcome = weakref.ref(result.records[0].outcome)
+            del result
+            gc.collect()
+            assert outcome() is None
+        assert store.n_results() == small_spec().n_points
+
+    def test_finished_campaign_takes_no_store_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        def walk(self, *args, **kwargs):
+            raise AssertionError("a campaign walked the store")
+
+        monkeypatch.setattr(TraceStore, "stats", walk)
+        monkeypatch.setattr(TraceStore, "_scan", walk)
+        spec = small_spec()
+        result = run_campaign(spec, store=TraceStore(tmp_path), parallel=False)
+        assert len(result) == spec.n_points
+        assert "store" not in result.to_dict()
+
+    def test_repr_does_not_walk_the_store(self, tmp_path, monkeypatch):
+        store = TraceStore(tmp_path, max_bytes=4096)
+
+        def walk(self, *args, **kwargs):
+            raise AssertionError("repr walked the store")
+
+        monkeypatch.setattr(TraceStore, "_scan", walk)
+        assert repr(store) == f"TraceStore({str(tmp_path)!r}, max_bytes=4096)"
 
 
 class TestCampaignResultCache:

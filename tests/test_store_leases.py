@@ -26,6 +26,7 @@ import textwrap
 import time
 import weakref
 from pathlib import Path
+from queue import Empty
 
 import pytest
 
@@ -715,6 +716,46 @@ class TestClaimIntegration:
         assert store.lease_holder(key.ref) is not None
         store.abandon_result_claim(key)
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_does_not_wait_on_an_inherited_flight(
+        self, tmp_path, monkeypatch
+    ):
+        """A child forked while its parent holds a claim inherits the
+        claim's event, which no thread of the child will ever set.  It
+        must defer to the parent's lease instead, and take the parent's
+        put as a hit as soon as it lands, not at the claim deadline."""
+        from repro.backends import evaluate_scenario
+        from repro.engine import kernel_trace_cached
+
+        monkeypatch.setattr(store_module, "_INFLIGHT_TIMEOUT_S", 30.0)
+        store = TraceStore(tmp_path)
+        spec = spec_a()
+        key = result_key(spec)
+        _kernel, scenario = next(spec.points())
+        trace = kernel_trace_cached("first_diff", n=96, store=store)
+        assert store.claim_result(key) is None  # the parent owns it
+        fork = mp.get_context("fork")
+        queue = fork.Queue()
+        child = fork.Process(
+            target=_get_a_claimed_result, args=(store, key, queue)
+        )
+        child.start()
+        try:
+            time.sleep(0.3)
+            store.put_result(key, evaluate_scenario(trace, scenario))
+            try:
+                report = queue.get(timeout=10)
+            except Empty:
+                pytest.fail("the child is still waiting on the flight")
+        finally:
+            child.join(timeout=10)
+            if child.is_alive():
+                child.kill()
+                child.join(timeout=10)
+        assert report["hit"] and not report["computed"]
+        assert report["waited_s"] < 5.0
+        assert child.exitcode == 0
+
 
 def _drive_campaign(root, barrier, queue, which):
     """Child-process body: run one campaign against the shared root."""
@@ -736,6 +777,28 @@ def _drive_campaign(root, barrier, queue, which):
             "interpretations": interpretation_count() - in0,
             "executor": result.executor,
             "points": len(result),
+        }
+    )
+
+
+def _get_a_claimed_result(store, key, queue):
+    """Forked-child body: ask for a result the parent has claimed."""
+    computed = []
+
+    def compute():
+        computed.append(True)
+        raise RuntimeError("the child computed a claimed point")
+
+    started = time.monotonic()
+    try:
+        hit = store.get_result(key, compute) is not None
+    except RuntimeError:
+        hit = False
+    queue.put(
+        {
+            "hit": hit,
+            "computed": bool(computed),
+            "waited_s": time.monotonic() - started,
         }
     )
 
